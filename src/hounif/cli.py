@@ -189,6 +189,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # unknown oracle names and malformed --limits/--positions values
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # parsing, normalization and the engine recurse once per level of
+        # term nesting
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

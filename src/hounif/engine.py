@@ -1,6 +1,14 @@
 """The unification engine: a lazy transition system on constraint states.
 
-A state is a multiset of constraints plus an idempotent substitution.
+A state is a multiset of constraints plus a triangular substitution:
+the branch substitutions applied on the way from the root, whose
+idempotent composition is never built.  Every transition reads a
+variable's resolved image (its beta-normal image under that composition,
+memoized on the substitution node), so the transitions are those of an
+engine that composes eagerly.  A binding step only appends the binding
+and re-resolves the problem variables' images; other images are
+resolved when something reads them.
+
 One step applies the first applicable transition, in this order:
 
     succeed, align binder prefixes (eta), expose the head (beta),
@@ -9,7 +17,8 @@ One step applies the first applicable transition, in this order:
     decompose and/or branch on bindings.
 
 Terms are never normalized beyond what head classification needs; full
-normalization happens only inside oracles and when verifying a result.
+normalization happens only inside oracles, when resolving an image that
+a binding touched, and when verifying a result.
 Search trees are enumerated fairly: every branch point dovetails its
 children, and long deterministic stretches emit pacing markers so that
 siblings keep getting probed.  The solver therefore yields a stream of
@@ -43,7 +52,8 @@ from .normalize import (
     reduction_fuel,
 )
 from .oracles import NotApplicable, NotUnifiable, OracleContext, Success, register
-from .subst import FreshSupply, IDENTITY, Substitution, compose
+from .subst import FreshSupply, Overgrown, Substitution, TriangularSubst
+from .subst import compose  # noqa: F401  (perfbench/tracer.py wraps engine.compose)
 from .terms import (
     Arrow,
     Base,
@@ -150,7 +160,7 @@ class Constraint:
 @dataclass(frozen=True)
 class UnifState:
     constraints: tuple[Constraint, ...]
-    subst: Substitution
+    subst: TriangularSubst
     next_seq: int
 
     def without(self, c: Constraint) -> tuple[Constraint, ...]:
@@ -168,10 +178,13 @@ class EngineConfig:
     pacing: int = 8
     selection: str = "priority"  # or "fifo"
     preunify: bool = False
-    #: a branch whose substitution grows an image beyond this many nodes is
-    #: abandoned (and the truncation reported as a budget stop); bindings
-    #: that duplicate arguments can otherwise double the state size on
-    #: every transition, making a single step arbitrarily expensive.
+    #: a branch whose substitution resolves an image to more than this many
+    #: nodes is abandoned (and the truncation reported as a budget stop);
+    #: bindings that duplicate arguments can otherwise double the state size
+    #: on every transition, making a single step arbitrarily expensive.
+    #: The same stop applies to a resolved image deeper than the interpreter's
+    #: recursion limit allows, or one whose normalization needs more than
+    #: `_FUEL_FACTOR` reduction units per node of this cap.
     max_image_size: int = 2_000
     #: constraints larger than this skip the oracle phase (oracles have to
     #: fully normalize both sides up front, which is the one place a huge
@@ -186,7 +199,7 @@ class EngineConfig:
 class StepResult:
     kind: str  # "solved" | "failed" | "children"
     rule: str
-    solution: Optional[Substitution] = None
+    solution: Optional[TriangularSubst] = None
     states: Iterable[UnifState] = ()
 
 
@@ -225,9 +238,10 @@ def _head_of(t: Term) -> Term:
     return head
 
 
-def side_is_flex(t: Term, subst: Substitution) -> bool:
-    """Head classification with one level of dereferencing and no
-    normalization; a redex head counts as rigid (it will resolve soon)."""
+def side_is_flex(t: Term, subst: TriangularSubst) -> bool:
+    """Head classification through the resolved image of a substituted
+    head, with no normalization; a redex head counts as rigid (it will
+    resolve soon)."""
     head = _head_of(t)
     if isinstance(head, Free):
         image = subst.image_of(head.id)
@@ -237,13 +251,13 @@ def side_is_flex(t: Term, subst: Substitution) -> bool:
     return False
 
 
-def rank(c: Constraint, subst: Substitution) -> int:
+def rank(c: Constraint, subst: TriangularSubst) -> int:
     return side_is_flex(c.lhs, subst) + side_is_flex(c.rhs, subst)
 
 
 def select(
     constraints: tuple[Constraint, ...],
-    subst: Substitution,
+    subst: TriangularSubst,
     cfg: EngineConfig,
 ) -> Optional[Constraint]:
     """Pick the constraint to work on: rigid-rigid first, then flex-rigid,
@@ -375,7 +389,7 @@ def _binding_delta(b: Binding, F: Free) -> Counters:
 
 
 def p_complete(
-    c: Constraint, subst: Substitution, search: Search
+    c: Constraint, subst: TriangularSubst, search: Search
 ) -> Iterator[tuple[Binding, Counters]]:
     """Bindings of the complete variant for an exposed constraint."""
     hl, hr = _head_of(c.lhs), _head_of(c.rhs)
@@ -428,7 +442,7 @@ def p_complete(
 
 
 def p_pragmatic(
-    c: Constraint, subst: Substitution, search: Search
+    c: Constraint, subst: TriangularSubst, search: Search
 ) -> tuple[list[tuple[Binding, Counters]], bool]:
     """Bindings of the pragmatic variant, filtered by the per-constraint
     limits.  Returns (kept bindings, whether any candidate was dropped
@@ -521,41 +535,20 @@ def _aligned_views(s: Term, t: Term):
     return tys, hs, sargs, ht, targs
 
 
-class _Overgrown(Exception):
-    """A composed substitution image exceeded cfg.max_image_size."""
-
-
 #: reduction-fuel headroom per node of the relevant size cap: normalizing
 #: a well-behaved image takes work linear in its size, so anything needing
 #: more than this factor is treated as a blow-up.
 _FUEL_FACTOR = 25
 
 
-def _guard_growth(old: Substitution, new: Substitution, bound: int) -> None:
-    """Reject a child whose substitution grew an oversized image.  Only
-    images actually rewritten by the composition are measured (untouched
-    entries are passed through by identity)."""
-    for var, image in new.items():
-        if old.image_of(var.id) is image:
-            continue
-        if not size_within(image, bound):
-            raise _Overgrown
-
-
-def _compose_guarded(
-    rho: Substitution, state: UnifState, search: Search
-) -> Substitution:
-    """Compose a branch substitution onto the state, abandoning the branch
-    (`_Overgrown`) if an image grows past the cap or if normalizing the
-    composition blows up before the size check can even see it."""
-    bound = search.cfg.max_image_size
-    try:
-        with reduction_fuel(_FUEL_FACTOR * bound):
-            new_subst = compose(rho, state.subst, check=True)
-    except ReductionBudget:
-        raise _Overgrown from None
-    _guard_growth(state.subst, new_subst, bound)
-    return new_subst
+def _extended(rho: Substitution, state: UnifState, search: Search) -> TriangularSubst:
+    """Apply a branch substitution to the state.  The problem variables'
+    images are resolved at once, so a branch whose answer overgrows is
+    abandoned (`Overgrown`) here rather than at every later emission."""
+    subst = state.subst.extend(rho)
+    for var_id in search.problem_ids:
+        subst.image_of(var_id)
+    return subst
 
 
 def _oracle_sized(s: Term, t: Term, cfg: EngineConfig) -> bool:
@@ -581,7 +574,7 @@ def _decomposed(c: Constraint, state: UnifState) -> UnifState:
 def _bound_child(
     c: Constraint, state: UnifState, b: Binding, delta: Counters, search: Search
 ) -> UnifState:
-    new_subst = _compose_guarded(b.as_subst(), state, search)
+    new_subst = _extended(b.as_subst(), state, search)
     bumped = replace(c, counters=c.counters.add(delta))
     constraints = tuple(bumped if x is c else x for x in state.constraints)
     return UnifState(constraints, new_subst, state.next_seq)
@@ -590,7 +583,7 @@ def _bound_child(
 def _oracle_child(
     c: Constraint, state: UnifState, rho: Substitution, search: Search
 ) -> UnifState:
-    new_subst = _compose_guarded(rho, state, search)
+    new_subst = _extended(rho, state, search)
     return UnifState(state.without(c), new_subst, state.next_seq)
 
 
@@ -737,7 +730,7 @@ def _charged(search: Search, thunks: Iterator[Callable[[], UnifState]], rule: st
         search.charge(rule)
         try:
             yield mk()
-        except _Overgrown:
+        except Overgrown:
             search.budget_hit = True  # branch abandoned: search truncated
 
 
@@ -749,16 +742,13 @@ def _charged_edges(search: Search, edges: Iterator[tuple[str, Callable[[], UnifS
         search.charge(rule)
         try:
             yield mk()
-        except _Overgrown:
+        except Overgrown:
             search.budget_hit = True
 
 
-# ------------------------------------------------------------ fair merging
+# ------------------------------------------------------------- exploration
 
 _DONE = object()
-
-
-# ------------------------------------------------------------- exploration
 
 
 class UnifierStream:
@@ -766,10 +756,9 @@ class UnifierStream:
     None as a pacing marker.  After exhaustion, `status` reports why the
     stream ended."""
 
-    def __init__(self, gen: Iterator, search: Search, pairs):
+    def __init__(self, gen: Iterator, search: Search):
         self._gen = gen
         self._search = search
-        self._pairs = pairs
         self.pulls = 0
         self.found = 0
         self._ended = False
@@ -826,11 +815,12 @@ def prepare(pairs, cfg: EngineConfig) -> tuple[UnifState, Search]:
     constraints = tuple(
         Constraint.make(s, t, seq) for seq, (s, t) in enumerate(pairs)
     )
-    state = UnifState(constraints, IDENTITY, len(constraints))
+    subst = TriangularSubst.root(cfg.max_image_size, _FUEL_FACTOR * cfg.max_image_size)
+    state = UnifState(constraints, subst, len(constraints))
     return state, search
 
 
-def _emit(subst: Substitution, search: Search) -> Substitution:
+def _emit(subst: TriangularSubst, search: Search) -> Substitution:
     return subst.restrict(search.problem_ids)
 
 
@@ -855,7 +845,11 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
         if isinstance(task, UnifState):
             spent = 0
             while True:
-                res = step(task, search)
+                try:
+                    res = step(task, search)
+                except Overgrown:  # a lazily resolved image overgrew
+                    search.budget_hit = True
+                    break
                 spent += 1
                 if res.kind == "solved":
                     yield _emit(res.solution, search)
@@ -889,7 +883,7 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
 def solve(pairs, cfg: EngineConfig = EngineConfig()) -> UnifierStream:
     """Enumerate unifiers for the conjunction of the given term pairs."""
     state, search = prepare(pairs, cfg)
-    return UnifierStream(_explore(state, search), search, tuple(pairs))
+    return UnifierStream(_explore(state, search), search)
 
 
 def verify_unifier(pairs, subst: Substitution) -> bool:
@@ -921,7 +915,7 @@ def applicable_rules(state: UnifState, search: Search) -> list[str]:
     deref = False
     for side in (s, t):
         head = _head_of(side)
-        if isinstance(head, Free) and head.id in subst:
+        if isinstance(head, Free) and subst.image_of(head.id) is not None:
             deref = True
     if deref:
         out.append("dereference")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..subst import FreshSupply, Substitution
+from ..subst import FreshSupply, Substitution, TriangularSubst
 from ..terms import Bound, Term, spine, strip_lams
 
 
@@ -47,7 +47,7 @@ class OracleContext:
     fresh-variable supply, and (for the limit oracle) the binding counters
     of the selected constraint plus the configured limits."""
 
-    subst: Substitution
+    subst: Substitution | TriangularSubst
     supply: FreshSupply
     counters: object = None
     limits: object = None

@@ -5,14 +5,20 @@ same type.  All substitutions handled here are idempotent: no mapped
 variable occurs free in any image.  Since images are closed (no loose
 bound indices), applying a substitution never needs index shifting and
 is trivially capture-avoiding.
+
+The engine's state substitution is a `TriangularSubst`: the branch
+substitutions in the order they were applied, with each variable's image
+under their composition resolved on demand and memoized, instead of an
+eagerly composed `Substitution`.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, Optional
 
 from .errors import IdempotenceViolation, IllTyped
-from .normalize import beta_normal
+from .normalize import ReductionBudget, beta_normal, reduction_fuel
 from .terms import (
     App,
     Free,
@@ -150,6 +156,156 @@ def compose(outer: Substitution, inner: Substitution, check: bool = False) -> Su
             f"composition is not idempotent: {out!r}"
         )
     return out
+
+
+class Overgrown(Exception):
+    """A resolved image went past the size, depth or reduction-fuel guard."""
+
+
+#: stack frames per level of term depth allowed for the recursive term
+#: traversals (apply, beta and eta normalization, equality): a resolved
+#: image deeper than the recursion limit divided by this is refused, so
+#: that every image the engine keeps can still be normalized and compared.
+_FRAMES_PER_LEVEL = 4
+
+
+def _measured(t: Term, max_size: int, max_depth: int) -> frozenset[int]:
+    """Free variable ids of t, raising Overgrown when t has more than
+    max_size nodes (counted as by `size`) or is deeper than max_depth.
+    Iterative, so the check itself cannot overflow the stack."""
+    fv: set[int] = set()
+    count = 0
+    stack = [(t, 0)]
+    while stack:
+        u, d = stack.pop()
+        if d > max_depth:
+            raise Overgrown
+        match u:
+            case App(fn=f, arg=a):  # the App node itself counts 0
+                stack.append((f, d + 1))
+                stack.append((a, d + 1))
+                continue
+            case Lam(body=b):
+                stack.append((b, d + 1))
+            case Free(id=i):
+                fv.add(i)
+        count += 1
+        if count > max_size:
+            raise Overgrown
+    return frozenset(fv)
+
+
+#: a resolved image: (variable, image, free variable ids of the image)
+_Entry = tuple[Free, Term, frozenset[int]]
+
+
+class TriangularSubst:
+    """Append-only triangular substitution (Baader & Snyder, *Unification
+    Theory*, 2001): the branch substitutions rho_1; ...; rho_n applied on
+    the way from the root state, one per node, children sharing their
+    ancestors.
+
+    It stands for the idempotent composition rho_n o ... o rho_1 without
+    building it.  A variable's resolved image, its beta-normal image under
+    that composition, is computed on demand, walking the chain iteratively
+    up to the nearest node that knows the variable and back down through
+    each rho that touches the image.  Every node passed on the way memoizes
+    the result, so descendants and siblings reuse it; an unbound variable
+    is memoized as None.  Each new image is checked against the size and
+    depth caps and normalized under the reduction fuel; a failed check
+    raises Overgrown.
+    """
+
+    __slots__ = ("parent", "rho", "top", "guard", "_memo")
+
+    def __init__(self, parent: Optional["TriangularSubst"], rho: Substitution,
+                 top: int, guard: tuple[int, int, int]):
+        self.parent = parent
+        self.rho = rho
+        #: no variable with a larger id is bound in this chain
+        self.top = top
+        #: (max image size, reduction fuel per resolution, max image depth)
+        self.guard = guard
+        max_size, _, max_depth = guard
+        #: var id -> its resolved entry here, or None if it is unbound here
+        self._memo: dict[int, Optional[_Entry]] = {
+            var.id: (var, image, _measured(image, max_size, max_depth))
+            for var, image in rho.items()
+        }
+
+    @classmethod
+    def root(cls, max_size: int, fuel: int) -> "TriangularSubst":
+        """The empty substitution; resolved images may have at most
+        max_size nodes and cost at most `fuel` reduction units each."""
+        max_depth = sys.getrecursionlimit() // _FRAMES_PER_LEVEL
+        return cls(None, IDENTITY, -1, (max_size, fuel, max_depth))
+
+    def extend(self, rho: Substitution) -> "TriangularSubst":
+        """The child node applying rho after this substitution.  Nothing
+        is composed: the cost is one lookup per variable of rho.
+
+        rho's variables must be unbound here, and its images may mention
+        no variable bound here or by rho itself."""
+        dom = rho._map
+        for var, image in rho.items():
+            if self._lookup(var.id) is not None:
+                raise IdempotenceViolation(f"{var!r} is already bound")
+            for i in free_vars(image):
+                if i in dom or self._lookup(i) is not None:
+                    raise IdempotenceViolation(
+                        f"image of {var!r} mentions the bound variable {i}"
+                    )
+        return TriangularSubst(self, rho, max(self.top, max(dom, default=-1)), self.guard)
+
+    # -- resolution ----------------------------------------------------
+
+    def _lookup(self, var_id: int) -> Optional[_Entry]:
+        if var_id > self.top:
+            return None
+        path = []
+        node = self
+        while node is not None and var_id not in node._memo:
+            path.append(node)
+            node = node.parent
+        entry = node._memo[var_id] if node is not None else None
+        for node in reversed(path):
+            if entry is not None:
+                entry = node._through(entry)
+            node._memo[var_id] = entry
+        return entry
+
+    def _through(self, entry: _Entry) -> _Entry:
+        """A resolved entry of the parent, resolved at this node."""
+        var, image, fv = entry
+        if fv.isdisjoint(self.rho._map):
+            return entry
+        max_size, fuel, max_depth = self.guard
+        try:
+            with reduction_fuel(fuel):
+                image = beta_normal(self.rho.apply(image))
+        except ReductionBudget:
+            raise Overgrown from None
+        return var, image, _measured(image, max_size, max_depth)
+
+    def image_of(self, var_id: int) -> Optional[Term]:
+        """The resolved image of a variable, or None if it is unbound."""
+        entry = self._lookup(var_id)
+        return entry[1] if entry else None
+
+    def apply(self, t: Term) -> Term:
+        """Replace every bound free variable by its resolved image (the
+        result is not reduced)."""
+        entries = [
+            (var, entry[1])
+            for i, var in free_vars(t).items()
+            if (entry := self._lookup(i)) is not None
+        ]
+        return Substitution(entries, validate=False).apply(t)
+
+    def restrict(self, var_ids) -> Substitution:
+        """The resolved substitution on the given variables."""
+        entries = [entry[:2] for i in var_ids if (entry := self._lookup(i)) is not None]
+        return Substitution(entries, validate=False)
 
 
 class FreshSupply:

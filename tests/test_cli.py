@@ -233,6 +233,17 @@ def test_solve_malformed_limits_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_solve_deep_input_exits_2(tmp_path, capsys):
+    k = 600
+    tower = "a"
+    for _ in range(k):
+        tower = f"h ({tower})"
+    problem = f"tp i.\nconst a : i.\nconst h : i > i.\nvar X : i.\nunify: {tower} =?= X.\n"
+    rc, out, err = run_cli(capsys, ["solve", write(tmp_path, problem)])
+    assert rc == 2
+    assert err == "error: input nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # index
 # ---------------------------------------------------------------------------

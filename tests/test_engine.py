@@ -1,5 +1,6 @@
 """The transition engine: goldens, precedence, laziness, fairness, hygiene."""
 
+import hashlib
 import itertools
 import random
 
@@ -275,6 +276,58 @@ def test_divergent_problem_streams_unifiers():
         assert_verifies(pairs, sigma)
 
 
+#: the two enumerate streams of the benchmark, pulled to 300 pulls each:
+#: (unifiers found, sha256 of the "pull:subst_key" lines, final stats)
+PINNED_STREAMS = {
+    "criterion9": (
+        100,
+        "0d53aac11ed081ba",
+        {"bind_huet_projection": 100, "bind_imitation": 101, "decompose": 200,
+         "delete": 100, "dereference": 400, "normalize_beta": 400, "succeed": 100},
+    ),
+    "criterion10": (
+        59,
+        "d75f8aa8f1d51ac1",
+        {"bind_elimination": 96, "bind_huet_projection": 2, "bind_identification": 143,
+         "bind_imitation": 9, "bind_iteration": 151, "bind_jp_projection": 113,
+         "decompose": 106, "delete": 88, "dereference": 630, "normalize_beta": 402,
+         "succeed": 59},
+    ),
+}
+
+
+def _pinned_problems():
+    from hounif.terms import Bound
+
+    F = Free(0, II)
+    divergent = [(Lam(I, App(F, App(f, Bound(0, I)))), Lam(I, App(f, App(F, Bound(0, I)))))]
+    F3, G = Free(0, III), Free(1, I)
+    fair = [(mk_app(F3, [G, G]), App(f, G))]
+    return {
+        "criterion9": (divergent, EngineConfig(), [F]),
+        "criterion10": (fair, NO_ORACLES, [F3, G]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_enumerate_streams_pinned(name):
+    """Same unifiers at the same pull numbers, and the same transitions,
+    as the eagerly composing engine produced on these streams."""
+    pairs, cfg, problem_vars = _pinned_problems()[name]
+    st = solve(pairs, cfg)
+    lines = []
+    while st.pulls < 300:
+        sigma = next(st)
+        if sigma is not None:
+            assert verify_unifier(pairs, sigma)
+            lines.append(f"{st.pulls}:{subst_key(sigma, problem_vars)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    count, want_digest, want_stats = PINNED_STREAMS[name]
+    assert (len(lines), digest) == (count, want_digest)
+    assert st.stats == want_stats
+    assert st.status == "running"
+
+
 def test_budget_status():
     from hounif.terms import Bound
 
@@ -283,6 +336,33 @@ def test_budget_status():
     rhs = Lam(I, App(f, App(F, Bound(0, I))))
     st = solve([(lhs, rhs)], EngineConfig(max_steps=200))
     st.unifiers(max_pulls=100_000)
+    assert st.status == "budget"
+
+
+def test_long_chain_ends_in_budget_stop():
+    # criterion 9 pulled to 10^4: the imitation ladder deepens F's image
+    # by one layer per unifier until the resolved image outgrows the depth
+    # guard; the branch is abandoned and reported, never a RecursionError
+    from hounif.terms import Bound
+
+    F = Free(0, II)
+    lhs = Lam(I, App(F, App(f, Bound(0, I))))
+    rhs = Lam(I, App(f, App(F, Bound(0, I))))
+    pairs = [(lhs, rhs)]
+    st = solve(pairs, EngineConfig())
+    keys = set()
+    for sigma in st.unifiers(max_pulls=10_000):
+        assert verify_unifier(pairs, sigma)
+        keys.add(subst_key(sigma, [F]))
+    assert st.status == "budget"
+    assert len(keys) >= 221
+
+
+def test_occurs_ladder_without_oracles_ends_in_budget_stop():
+    # h X =?= X: each imitation binds X one h deeper, forever
+    X = Free(0, I)
+    st = solve([(App(h, X), X)], NO_ORACLES)
+    assert st.unifiers(max_pulls=100_000) == []
     assert st.status == "budget"
 
 
@@ -431,6 +511,23 @@ def test_random_problems_sound_and_idempotent():
             assert sigma.is_idempotent()
 
 
+def _assert_triangular_well_formed(subst):
+    """Every entry was unbound when its node was added, with an image free
+    of variables bound there; the resolved substitution is idempotent."""
+    domain = []
+    node = subst
+    while node.parent is not None:
+        for var, image in node.rho.items():
+            domain.append(var.id)
+            assert node.parent.image_of(var.id) is None
+            assert all(node.parent.image_of(i) is None for i in free_vars(image))
+            assert not free_vars(image).keys() & {v.id for v in node.rho.domain()}
+        node = node.parent
+    resolved = subst.restrict(domain)
+    assert len(resolved) == len(domain)
+    assert resolved.is_idempotent()
+
+
 def test_intermediate_substitutions_idempotent():
     rng = random.Random(89)
     for _ in range(20):
@@ -442,7 +539,7 @@ def test_intermediate_substitutions_idempotent():
         while todo and visited < 80:
             st = todo.pop()
             visited += 1
-            assert st.subst.is_idempotent()
+            _assert_triangular_well_formed(st.subst)
             res = step(st, search)
             if res.kind == "children":
                 if isinstance(res.states, tuple):

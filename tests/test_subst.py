@@ -1,4 +1,5 @@
-"""Substitutions: validation, application, composition algebra, supply."""
+"""Substitutions: validation, application, composition algebra, the
+triangular state substitution, supply."""
 
 import random
 
@@ -8,7 +9,14 @@ import termgen
 from termgen import I, II, III, gen_term, nbe
 from hounif.errors import IdempotenceViolation, IllTyped
 from hounif.normalize import canonical
-from hounif.subst import IDENTITY, FreshSupply, Substitution, compose
+from hounif.subst import (
+    IDENTITY,
+    FreshSupply,
+    Overgrown,
+    Substitution,
+    TriangularSubst,
+    compose,
+)
 from hounif.terms import (
     App,
     Bound,
@@ -110,6 +118,57 @@ def test_compose_check_flags_violation():
     outer = Substitution(((G, F),))
     with pytest.raises(IdempotenceViolation):
         compose(outer, inner, check=True)
+
+
+def test_triangular_resolves_as_the_composition():
+    rng = random.Random(24)
+    pool_a = termgen.make_frees(rng, 3, 100)
+    pool_b = termgen.make_frees(rng, 3, 200)
+    pool_c = termgen.make_frees(rng, 3, 300)
+    pool_d = termgen.make_frees(rng, 2, 400)
+    ids = [v.id for v in pool_a + pool_b + pool_c + pool_d]
+    for _ in range(150):
+        s1 = _random_subst(rng, pool_a, pool_b)
+        s2 = _random_subst(rng, pool_b, pool_c)
+        s3 = _random_subst(rng, pool_c, pool_d)
+        tri = TriangularSubst.root(10_000, 1_000_000).extend(s1).extend(s2).extend(s3)
+        eager = compose(s3, compose(s2, s1))
+        resolved = tri.restrict(ids)
+        assert [v.id for v in resolved.domain()] == [v.id for v in eager.domain()]
+        for (v, img_t), (_, img_e) in zip(resolved.items(), eager.items()):
+            assert canonical(img_t) == canonical(img_e), v
+        assert resolved.is_idempotent()
+        t = gen_term(rng, termgen.rand_type(rng), depth=2, frees=pool_a + pool_b)
+        assert canonical(tri.apply(t)) == canonical(eager.apply(t))
+
+
+def test_triangular_extension_is_checked():
+    F, G, H = Free(1, II), Free(2, II), Free(3, I)
+    tri = TriangularSubst.root(100, 10_000).extend(
+        Substitution(((F, Lam(I, App(G, App(f, Bound(0, I))))),))
+    )
+    with pytest.raises(IdempotenceViolation):  # F is already bound
+        tri.extend(Substitution(((F, Lam(I, a)),)))
+    with pytest.raises(IdempotenceViolation):  # the image mentions bound F
+        tri.extend(Substitution(((H, App(F, a)),)))
+    with pytest.raises(IdempotenceViolation):  # the image mentions G itself
+        tri.extend(Substitution(((G, Lam(I, App(G, Bound(0, I)))),)))
+    child = tri.extend(Substitution(((G, Lam(I, App(f, Bound(0, I)))),)))
+    assert child.image_of(1) == Lam(I, App(f, App(f, Bound(0, I))))  # beta-normal
+    assert tri.image_of(1) == Lam(I, App(G, App(f, Bound(0, I))))  # parent unchanged
+    assert child.image_of(3) is None
+
+
+def test_triangular_resolution_is_guarded():
+    F, G = Free(1, II), Free(2, II)
+    twice_g = Substitution(((F, Lam(I, App(G, App(G, Bound(0, I))))),))
+    g_to_ff = Substitution(((G, Lam(I, App(f, App(f, Bound(0, I))))),))
+    # F resolves to \x. f (f (f (f x))): 6 nodes
+    assert TriangularSubst.root(6, 10_000).extend(twice_g).extend(g_to_ff).image_of(1)
+    with pytest.raises(Overgrown):
+        TriangularSubst.root(5, 10_000).extend(twice_g).extend(g_to_ff).image_of(1)
+    with pytest.raises(Overgrown):  # not enough fuel to normalize it
+        TriangularSubst.root(6, 2).extend(twice_g).extend(g_to_ff).image_of(1)
 
 
 def test_restrict_and_items_are_deterministic():
