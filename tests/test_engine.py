@@ -277,7 +277,8 @@ def test_divergent_problem_streams_unifiers():
 
 
 #: the two enumerate streams of the benchmark, pulled to 300 pulls each:
-#: (unifiers found, sha256 of the "pull:subst_key" lines, final stats)
+#: (unifiers found, first 16 hex digits of the sha256 of the
+#: "pull:subst_key" lines, final stats)
 PINNED_STREAMS = {
     "criterion9": (
         100,
