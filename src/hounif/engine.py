@@ -13,8 +13,15 @@ One step applies the first applicable transition, in this order:
 
     succeed, align binder prefixes (eta), expose the head (beta),
     dereference a substituted head, clash of distinct rigid heads,
-    delete a syntactically equal pair, oracle verdicts, and finally
-    decompose and/or branch on bindings.
+    delete a syntactically equal pair, oracle verdicts, the pragmatic
+    cutoff, and finally decompose and/or branch on bindings.
+
+`_transition` is the one place that decides which transition applies;
+`step` applies it.  Both variants draw their bindings from one
+generator, `_candidates`; the pragmatic variant takes a finite subset on
+flex-flex pairs and keeps the bindings within its per-constraint limits.
+When the limits drop every binding, its cutoff solves a flex-flex pair
+by a shared fresh head and fails a flex-rigid one.
 
 Terms are never normalized beyond what head classification needs; full
 normalization happens only inside oracles, when resolving an image that
@@ -51,7 +58,7 @@ from .normalize import (
     is_hnf,
     reduction_fuel,
 )
-from .oracles import NotApplicable, NotUnifiable, OracleContext, Success, register
+from .oracles import NotApplicable, NotUnifiable, OracleContext, Success
 from .subst import FreshSupply, Overgrown, Substitution, TriangularSubst
 from .subst import compose  # noqa: F401  (perfbench/tracer.py wraps engine.compose)
 from .terms import (
@@ -81,8 +88,6 @@ from .terms import (
 )
 
 # ------------------------------------------------------------- constraints
-
-RIGID_RIGID, FLEX_RIGID, FLEX_FLEX = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,6 @@ class EngineConfig:
     limits: Limits = Limits()
     max_steps: int = 100_000
     pacing: int = 8
-    selection: str = "priority"  # or "fifo"
-    preunify: bool = False
     #: a branch whose substitution resolves an image to more than this many
     #: nodes is abandoned (and the truncation reported as a budget stop);
     #: bindings that duplicate arguments can otherwise double the state size
@@ -255,23 +258,10 @@ def rank(c: Constraint, subst: TriangularSubst) -> int:
     return side_is_flex(c.lhs, subst) + side_is_flex(c.rhs, subst)
 
 
-def select(
-    constraints: tuple[Constraint, ...],
-    subst: TriangularSubst,
-    cfg: EngineConfig,
-) -> Optional[Constraint]:
+def select(constraints: tuple[Constraint, ...], subst: TriangularSubst) -> Constraint:
     """Pick the constraint to work on: rigid-rigid first, then flex-rigid,
     then flex-flex; ties go to the oldest (lowest sequence number)."""
-    if not constraints:
-        return None
-    pool = constraints
-    if cfg.preunify:
-        pool = tuple(c for c in constraints if rank(c, subst) < FLEX_FLEX)
-        if not pool:
-            return None
-    if cfg.selection == "fifo":
-        return min(pool, key=lambda c: c.seq)
-    return min(pool, key=lambda c: (rank(c, subst), c.seq))
+    return min(constraints, key=lambda c: (rank(c, subst), c.seq))
 
 
 # ------------------------------------------------------- binding families
@@ -367,14 +357,15 @@ def _proper_subsequences(n: int) -> Iterator[tuple[int, ...]]:
 _NO_DELTA = Counters()
 
 
-def _binding_delta(b: Binding, F: Free) -> Counters:
+def _binding_delta(b: Binding) -> Counters:
     match b.kind:
         case "imitation":
             return Counters(total=1, imit=1)
         case "identification":
             return Counters(total=1, ident=1)
         case "elimination":
-            removed = arity(F.ty) - (len(spine(strip_lams(b.entries[0][1])[1])[1]))
+            F, image = b.entries[0]
+            removed = arity(F.ty) - len(spine(strip_lams(image)[1])[1])
             return Counters(total=1, elim=removed)
         case "huet_projection":
             _, image_body = strip_lams(b.entries[0][1])
@@ -388,110 +379,56 @@ def _binding_delta(b: Binding, F: Free) -> Counters:
             return Counters(total=1)
 
 
-def p_complete(
-    c: Constraint, subst: TriangularSubst, search: Search
-) -> Iterator[tuple[Binding, Counters]]:
-    """Bindings of the complete variant for an exposed constraint."""
-    hl, hr = _head_of(c.lhs), _head_of(c.rhs)
-    flex_l, flex_r = isinstance(hl, Free), isinstance(hr, Free)
+def _candidates(F: Free, other: Term, search: Search) -> Iterator[Binding | None]:
+    """The bindings for a constraint between flex head `F` and head `other`,
+    in the order a branch tries them.
 
-    def tagged(it):
-        for b in it:
-            if b is not None:
-                yield b, _binding_delta(b, b.entries[0][0])
-
-    if not flex_l and not flex_r:
-        return
-    if flex_l != flex_r:  # flex-rigid
-        F, a = (hl, hr) if flex_l else (hr, hl)
-        out: list[Binding | None] = []
-        if isinstance(a, Const):
-            out.append(imitation(F, a, search.supply))
+    Flex-rigid pairs get imitation and Huet-style projections in both
+    variants.  On flex-flex pairs the pragmatic variant keeps the paper's
+    finite subset (identification and Huet-style projections of `F` for
+    distinct heads, eliminations for equal ones); the complete variant
+    takes JP-style projections of both heads instead of Huet-style ones
+    and adds the infinite iterations.  The imitation, projection and
+    identification bindings are built together when the first of them is
+    pulled; eliminations and iterations are built one at a time."""
+    supply = search.supply
+    complete = search.cfg.variant != "pragmatic"
+    if not isinstance(other, Free):
+        group = [imitation(F, other, supply)] if isinstance(other, Const) else []
         if F.sort != IDENTIFICATION:
-            out.extend(
-                huet_projection(F, i, search.supply)
-                for i in range(1, arity(F.ty) + 1)
-            )
-        yield from tagged(out)
-        return
-    # flex-flex
-    F, G = hl, hr
-    if F.id != G.id:
-        head: list[Binding | None] = [identification(F, G, search.supply)]
-        for V in (F, G):
-            if V.sort != IDENTIFICATION:
-                head.extend(jp_projection(V, i) for i in range(1, arity(V.ty) + 1))
-        yield from tagged(head)
-        yield from tagged(
-            _roundrobin(
+            group.extend(huet_projection(F, i, supply) for i in range(1, arity(F.ty) + 1))
+        yield from group
+    elif F.id != other.id:
+        group = [identification(F, other, supply)]
+        if complete:
+            for V in (F, other):
+                if V.sort != IDENTIFICATION:
+                    group.extend(jp_projection(V, i) for i in range(1, arity(V.ty) + 1))
+        elif F.sort != IDENTIFICATION:
+            group.extend(huet_projection(F, i, supply) for i in range(1, arity(F.ty) + 1))
+        yield from group
+        if complete:
+            yield from _roundrobin(
                 _iterations_for(F, list(range(1, arity(F.ty) + 1)), search),
-                _iterations_for(G, list(range(1, arity(G.ty) + 1)), search),
+                _iterations_for(other, list(range(1, arity(other.ty) + 1)), search),
             )
-        )
-        return
-    # same head
-    if F.sort == ELIMINATION:
-        return
-    n = arity(F.ty)
-    elims = (elimination(F, keep, search.supply) for keep in _proper_subsequences(n))
-    func_args = [
-        i for i, ty in enumerate(arg_types(F.ty), start=1) if isinstance(ty, Arrow)
-    ]
-    yield from tagged(elims)
-    yield from tagged(_iterations_for(F, func_args, search))
+    elif F.sort != ELIMINATION:
+        for keep in _proper_subsequences(arity(F.ty)):
+            yield elimination(F, keep, supply)
+        if complete:
+            func_args = [
+                i for i, ty in enumerate(arg_types(F.ty), start=1) if isinstance(ty, Arrow)
+            ]
+            yield from _iterations_for(F, func_args, search)
 
 
-def p_pragmatic(
-    c: Constraint, subst: TriangularSubst, search: Search
+def _within_limits(
+    c: Constraint, bindings: list[tuple[Binding, Counters]], limits: Limits
 ) -> tuple[list[tuple[Binding, Counters]], bool]:
-    """Bindings of the pragmatic variant, filtered by the per-constraint
-    limits.  Returns (kept bindings, whether any candidate was dropped
-    because a limit would be exceeded)."""
-    limits = search.cfg.limits
-    hl, hr = _head_of(c.lhs), _head_of(c.rhs)
-    flex_l, flex_r = isinstance(hl, Free), isinstance(hr, Free)
-    candidates: list[Binding | None] = []
-
-    if not flex_l and not flex_r:
-        return [], False
-    if flex_l != flex_r:
-        F, a = (hl, hr) if flex_l else (hr, hl)
-        if isinstance(a, Const):
-            candidates.append(imitation(F, a, search.supply))
-        if F.sort != IDENTIFICATION:
-            candidates.extend(
-                huet_projection(F, i, search.supply)
-                for i in range(1, arity(F.ty) + 1)
-            )
-    elif hl.id != hr.id:
-        candidates.append(identification(hl, hr, search.supply))
-        if hl.sort != IDENTIFICATION:
-            candidates.extend(
-                huet_projection(hl, i, search.supply)
-                for i in range(1, arity(hl.ty) + 1)
-            )
-    else:
-        if hl.sort == ELIMINATION:
-            return [], False
-        candidates.extend(
-            elimination(hl, keep, search.supply)
-            for keep in _proper_subsequences(arity(hl.ty))
-        )
-
-    kept: list[tuple[Binding, Counters]] = []
-    dropped = False
-    for b in candidates:
-        if b is None:
-            continue
-        delta = _binding_delta(b, b.entries[0][0])
-        if c.counters.add(delta).within(limits):
-            kept.append((b, delta))
-        else:
-            dropped = True
-    return kept, dropped
-
-
-# ------------------------------------------------------------ limit oracle
+    """The pragmatic filter: the bindings that keep the constraint's
+    counters within the limits, and whether any binding was dropped."""
+    kept = [(b, delta) for b, delta in bindings if c.counters.add(delta).within(limits)]
+    return kept, len(kept) < len(bindings)
 
 
 def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
@@ -503,24 +440,6 @@ def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
     if hr.id != hl.id:
         entries.append((hr, mk_lams(arg_types(hr.ty), H)))
     return Substitution(entries)
-
-
-@register("limit")
-def limit_oracle(lhs: Term, rhs: Term, ctx: OracleContext):
-    """Pragmatic cutoff: when the limits leave no binding applicable to a
-    constraint, solve a flex-flex pair trivially and fail a flex-rigid
-    one.  Registered for completeness; the pragmatic variant applies the
-    same logic inline."""
-    if ctx.limits is None or ctx.search is None:
-        return NotApplicable()
-    c = Constraint.make(lhs, rhs, seq=-1, counters=ctx.counters)
-    kept, dropped = p_pragmatic(c, ctx.subst, ctx.search)
-    if kept or not dropped:
-        return NotApplicable()
-    hl, hr = _head_of(lhs), _head_of(rhs)
-    if isinstance(hl, Free) and isinstance(hr, Free):
-        return Success((_trivial_unifier(c, ctx.supply),))
-    return NotUnifiable()
 
 
 # ------------------------------------------------------------------- step
@@ -587,35 +506,32 @@ def _oracle_child(
     return UnifState(state.without(c), new_subst, state.next_seq)
 
 
-def step(state: UnifState, search: Search) -> StepResult:
-    """Apply the first applicable transition (charging the budget); for a
-    branch point, return lazily materialized children."""
+def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constraint], object]:
+    """The first applicable transition at `state`, in the fixed precedence
+    order, as (rule, selected constraint, payload).  Charges nothing.
+
+    The payload is the rewritten constraint for normalize_eta,
+    normalize_beta and dereference, the unifiers for oracle_succ, and
+    (heads_equal, bindings) for a branch; otherwise None."""
     cfg = search.cfg
     subst = state.subst
-
     if not state.constraints:
-        search.charge("succeed")
-        return StepResult("solved", "succeed", solution=subst)
-    if cfg.preunify and all(rank(c, subst) == FLEX_FLEX for c in state.constraints):
-        search.charge("succeed")
-        return StepResult("solved", "succeed", solution=subst)
+        return "succeed", None, None
 
-    c = select(state.constraints, subst, cfg)
+    c = select(state.constraints, subst)
     s, t = c.lhs, c.rhs
 
     # align binder prefixes (alpha is implicit in de Bruijn representation)
     m, n = lam_depth(s), lam_depth(t)
     if m != n:
         target = max(m, n)
-        c2 = c.with_sides(eta_expand_prefix(s, target), eta_expand_prefix(t, target))
-        search.charge("normalize_eta")
-        return _single(state, c, c2, "normalize_eta")
+        return "normalize_eta", c, c.with_sides(
+            eta_expand_prefix(s, target), eta_expand_prefix(t, target)
+        )
 
     # expose both heads
     if not (is_hnf(s) and is_hnf(t)):
-        c2 = c.with_sides(hnf(s), hnf(t))
-        search.charge("normalize_beta")
-        return _single(state, c, c2, "normalize_beta")
+        return "normalize_beta", c, c.with_sides(hnf(s), hnf(t))
 
     # replace a substituted head
     for which, side in (("lhs", s), ("rhs", t)):
@@ -626,31 +542,21 @@ def step(state: UnifState, search: Search) -> StepResult:
             if image is not None:
                 new_side = mk_lams(tys, mk_app(image, args))
                 c2 = c.with_sides(new_side, t) if which == "lhs" else c.with_sides(s, new_side)
-                search.charge("dereference")
-                return _single(state, c, c2, "dereference")
+                return "dereference", c, c2
 
-    tys, hs, sargs, ht, targs = _aligned_views(s, t)
+    _, hs, _, ht, _ = _aligned_views(s, t)
     flex_l, flex_r = isinstance(hs, Free), isinstance(ht, Free)
-
     if not flex_l and not flex_r and hs != ht:
-        search.charge("fail")
-        return StepResult("failed", "fail")
-
+        return "fail", c, None
     if s == t:
-        search.charge("delete")
-        return StepResult("children", "delete", states=(UnifState(state.without(c), subst, state.next_seq),))
+        return "delete", c, None
+    if not flex_l and not flex_r:
+        return "branch", c, (True, ())
 
     # oracle phase: the first oracle with an opinion wins (oversized
     # constraints skip it; oracles normalize eagerly)
-    if (flex_l or flex_r) and _oracle_sized(s, t, cfg):
-        octx = OracleContext(
-            subst=subst,
-            supply=search.supply,
-            counters=c.counters,
-            limits=cfg.limits if cfg.variant == "pragmatic" else None,
-            variant=cfg.variant,
-            search=search,
-        )
+    if _oracle_sized(s, t, cfg):
+        octx = OracleContext(subst=subst, supply=search.supply)
         for name, fn in search.oracle_fns:
             try:
                 with reduction_fuel(_FUEL_FACTOR * cfg.oracle_size_cap):
@@ -659,82 +565,60 @@ def step(state: UnifState, search: Search) -> StepResult:
                 continue  # too expensive to decide; fall through to branching
             match verdict:
                 case Success(csu=csu):
-                    if not csu:
-                        search.charge("oracle_fail")
-                        return StepResult("failed", "oracle_fail")
-                    return StepResult(
-                        "children",
-                        "oracle_succ",
-                        states=_charged(
-                            search,
-                            ((lambda r=rho: _oracle_child(c, state, r, search)) for rho in csu),
-                            "oracle_succ",
-                        ),
-                    )
+                    return ("oracle_succ" if csu else "oracle_fail"), c, csu
                 case NotUnifiable():
-                    search.charge("oracle_fail")
-                    return StepResult("failed", "oracle_fail")
+                    return "oracle_fail", c, None
                 case NotApplicable():
                     continue
                 case _:
                     raise InternalError(f"oracle {name} returned {verdict!r}")
 
-    # pragmatic limit handling doubles as an oracle of last resort
-    bindings: Iterable[tuple[Binding, Counters]]
+    F, other = (hs, ht) if flex_l else (ht, hs)
+    bindings = ((b, _binding_delta(b)) for b in _candidates(F, other, search) if b is not None)
     if cfg.variant == "pragmatic":
-        kept, dropped = p_pragmatic(c, subst, search)
-        if not kept and dropped:
+        # the pragmatic cutoff: when the limits drop every binding, a
+        # flex-flex pair is solved trivially and a flex-rigid one fails
+        bindings, dropped = _within_limits(c, list(bindings), cfg.limits)
+        if not bindings and dropped:
             if flex_l and flex_r:
-                rho = _trivial_unifier(c, search.supply)
-                return StepResult(
-                    "children",
-                    "oracle_succ",
-                    states=_charged(
-                        search,
-                        iter([lambda: _oracle_child(c, state, rho, search)]),
-                        "oracle_succ",
-                    ),
-                )
-            search.charge("oracle_fail")
-            return StepResult("failed", "oracle_fail")
-        bindings = kept
-    else:
-        bindings = p_complete(c, subst, search) if (flex_l or flex_r) else ()
-
-    heads_equal = (flex_l and flex_r and hs.id == ht.id) or (
-        not flex_l and not flex_r and hs == ht
-    )
-
-    def edges():
-        if heads_equal:
-            yield "decompose", (lambda: _decomposed(c, state))
-        for b, delta in bindings:
-            yield f"bind_{b.kind}", (lambda b=b, d=delta: _bound_child(c, state, b, d, search))
-
-    gen = _charged_edges(search, edges())
-    return StepResult("children", "branch", states=gen)
+                return "oracle_succ", c, (_trivial_unifier(c, search.supply),)
+            return "oracle_fail", c, None
+    return "branch", c, (flex_l and flex_r and hs.id == ht.id, bindings)
 
 
-def _single(state: UnifState, old: Constraint, new: Constraint, rule: str) -> StepResult:
-    constraints = tuple(new if x is old else x for x in state.constraints)
-    return StepResult(
-        "children", rule, states=(UnifState(constraints, state.subst, state.next_seq),)
-    )
+def step(state: UnifState, search: Search) -> StepResult:
+    """Apply the first applicable transition (charging the budget); for a
+    branch point, return lazily materialized children."""
+    rule, c, payload = _transition(state, search)
+    if rule == "oracle_succ":
+        edges = ((rule, lambda rho=rho: _oracle_child(c, state, rho, search)) for rho in payload)
+        return StepResult("children", rule, states=_charged(search, edges))
+    if rule == "branch":
+        heads_equal, bindings = payload
+
+        def edges():
+            if heads_equal:
+                yield "decompose", (lambda: _decomposed(c, state))
+            for b, delta in bindings:
+                yield f"bind_{b.kind}", (lambda b=b, d=delta: _bound_child(c, state, b, d, search))
+
+        return StepResult("children", rule, states=_charged(search, edges()))
+
+    search.charge(rule)
+    if rule == "succeed":
+        return StepResult("solved", rule, solution=state.subst)
+    if rule in ("fail", "oracle_fail"):
+        return StepResult("failed", rule)
+    if rule == "delete":
+        constraints = state.without(c)
+    else:  # a rewritten constraint replaces the selected one
+        constraints = tuple(payload if x is c else x for x in state.constraints)
+    return StepResult("children", rule, states=(UnifState(constraints, state.subst, state.next_seq),))
 
 
-def _charged(search: Search, thunks: Iterator[Callable[[], UnifState]], rule: str):
-    for mk in thunks:
-        if search.steps_left <= 0:
-            search.budget_hit = True
-            return
-        search.charge(rule)
-        try:
-            yield mk()
-        except Overgrown:
-            search.budget_hit = True  # branch abandoned: search truncated
-
-
-def _charged_edges(search: Search, edges: Iterator[tuple[str, Callable[[], UnifState]]]):
+def _charged(search: Search, edges: Iterator[tuple[str, Callable[[], UnifState]]]):
+    """Materialize a branch's children one at a time, charging each
+    child's rule; a child whose substitution overgrows is abandoned."""
     for rule, mk in edges:
         if search.steps_left <= 0:
             search.budget_hit = True
@@ -743,7 +627,7 @@ def _charged_edges(search: Search, edges: Iterator[tuple[str, Callable[[], UnifS
         try:
             yield mk()
         except Overgrown:
-            search.budget_hit = True
+            search.budget_hit = True  # branch abandoned: search truncated
 
 
 # ------------------------------------------------------------- exploration
@@ -898,67 +782,16 @@ def verify_unifier(pairs, subst: Substitution) -> bool:
 
 
 def applicable_rules(state: UnifState, search: Search) -> list[str]:
-    """Names of all transitions whose guard holds at this state, in the
-    fixed precedence order.  Used by tests to check that `step` always
-    applies the first one."""
-    out = []
-    if not state.constraints:
-        return ["succeed"]
-    subst = state.subst
-    c = select(state.constraints, subst, search.cfg)
-    s, t = c.lhs, c.rhs
-    if lam_depth(s) != lam_depth(t):
-        out.append("normalize_eta")
-        return out
-    if not (is_hnf(s) and is_hnf(t)):
-        out.append("normalize_beta")
-    deref = False
-    for side in (s, t):
-        head = _head_of(side)
-        if isinstance(head, Free) and subst.image_of(head.id) is not None:
-            deref = True
-    if deref:
-        out.append("dereference")
-    if out:
-        return out
-    hs, ht = _head_of(s), _head_of(t)
-    flex_l, flex_r = isinstance(hs, Free), isinstance(ht, Free)
-    if not flex_l and not flex_r and hs != ht:
-        out.append("fail")
-        return out
-    if s == t:
-        out.append("delete")
-        return out
-    if (flex_l or flex_r) and _oracle_sized(s, t, search.cfg):
-        octx = OracleContext(
-            subst=subst,
-            supply=search.supply,
-            counters=c.counters,
-            limits=search.cfg.limits if search.cfg.variant == "pragmatic" else None,
-            variant=search.cfg.variant,
-            search=search,
-        )
-        for name, fn in search.oracle_fns:
-            try:
-                with reduction_fuel(_FUEL_FACTOR * search.cfg.oracle_size_cap):
-                    verdict = fn(s, t, octx)
-            except ReductionBudget:
-                continue
-            if not isinstance(verdict, NotApplicable):
-                out.append("oracle")
-                return out
-    heads_equal = (flex_l and flex_r and hs.id == ht.id) or (
-        not flex_l and not flex_r and hs == ht
-    )
-    if heads_equal:
-        out.append("decompose")
-    if flex_l or flex_r:
-        if search.cfg.variant == "pragmatic":
-            kept, _ = p_pragmatic(c, subst, search)
-            if kept:
-                out.append("bind")
-        else:
-            probe = next(iter(p_complete(c, subst, search)), None)
-            if probe is not None:
-                out.append("bind")
-    return out
+    """The transition `step` applies at this state, as tests inspect it:
+    ["oracle"] for an oracle verdict or the pragmatic cutoff, the kinds of
+    a branch point's edges ("decompose", "bind"), otherwise [rule]."""
+    rule, _, payload = _transition(state, search)
+    if rule in ("oracle_succ", "oracle_fail"):
+        return ["oracle"]
+    if rule != "branch":
+        return [rule]
+    heads_equal, bindings = payload
+    kinds = ["decompose"] if heads_equal else []
+    if next(iter(bindings), None) is not None:
+        kinds.append("bind")
+    return kinds

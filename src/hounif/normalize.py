@@ -2,9 +2,7 @@
 
 The unification engine itself only ever head-normalizes (it exposes the
 head of a constraint and stops), while oracles and verification work on
-the eta-long beta-normal canonical representative.  `FULL_PASSES` counts
-full normalization passes so tests can assert that stepping the engine
-never triggers one outside of oracle calls and verification.
+the eta-long beta-normal canonical representative.
 """
 
 from __future__ import annotations
@@ -30,10 +28,6 @@ from .terms import (
     strip_lams,
     type_of,
 )
-
-#: number of full normalization passes performed so far (monotone).
-FULL_PASSES = 0
-
 
 class ReductionBudget(Exception):
     """A fuelled normalization exceeded its work allowance."""
@@ -93,8 +87,6 @@ def hnf(t: Term) -> Term:
 
 def beta_normal(t: Term) -> Term:
     """Full beta normal form (unique, since the calculus is simply typed)."""
-    global FULL_PASSES
-    FULL_PASSES += 1
     return _bnf(t)
 
 
@@ -160,10 +152,3 @@ def eta_expand_prefix(t: Term, target: int) -> Term:
     body = shift(body, need)
     body = mk_app(body, [Bound(need - 1 - i, extra[i]) for i in range(need)])
     return mk_lams(list(tys) + list(extra), body)
-
-
-def is_eta_long_normal(t: Term) -> bool:
-    """Is t already its own canonical representative?"""
-    from .terms import is_beta_normal
-
-    return is_beta_normal(t) and t == eta_long(t)

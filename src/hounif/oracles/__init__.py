@@ -11,7 +11,10 @@ verdict is one of
 
 Oracles receive the raw constraint sides together with the current
 substitution and resolve them internally; unlike the main solver loop
-they are free to normalize terms fully.
+they are free to normalize terms fully.  The registry holds the three
+decision procedures of this package: ``pattern``, ``solid`` and
+``fixpoint``.  The pragmatic variant's binding limits are not an oracle;
+the engine applies them when it builds a constraint's bindings.
 """
 
 from __future__ import annotations
@@ -43,16 +46,11 @@ Verdict = Success | NotUnifiable | NotApplicable
 
 @dataclass
 class OracleContext:
-    """Everything an oracle may consult: the substitution built so far, a
-    fresh-variable supply, and (for the limit oracle) the binding counters
-    of the selected constraint plus the configured limits."""
+    """Everything an oracle may consult: the substitution built so far and
+    a fresh-variable supply."""
 
     subst: Substitution | TriangularSubst
     supply: FreshSupply
-    counters: object = None
-    limits: object = None
-    variant: str = "complete"
-    search: object = None
 
 
 OracleFn = Callable[[Term, Term, OracleContext], Verdict]
@@ -69,12 +67,10 @@ def register(name: str):
 
 
 def resolve(name: str) -> OracleFn:
-    if name == "limit" and name not in _REGISTRY:
-        from .. import engine  # noqa: F401  (registers the limit oracle)
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(set(_REGISTRY) | {"limit"}))
+        known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown oracle {name!r}; known oracles: {known}") from None
 
 

@@ -110,10 +110,6 @@ class Substitution:
             case _:
                 return t
 
-    def apply_beta(self, t: Term) -> Term:
-        """Apply, then fully beta-normalize the result."""
-        return beta_normal(self.apply(t))
-
     # -- algebra -------------------------------------------------------
 
     def restrict(self, var_ids) -> "Substitution":
@@ -329,10 +325,6 @@ class FreshSupply:
         for i in ids:
             if i >= self._next:
                 self._next = i + 1
-
-    def reserve_terms(self, terms) -> None:
-        for t in terms:
-            self.reserve_ids(free_vars(t).keys())
 
     def fresh(self, ty: Type, sort: str = PLAIN) -> Free:
         v = Free(self._next, ty, sort)

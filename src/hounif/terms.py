@@ -5,19 +5,15 @@ type and a de Bruijn index (0 = innermost enclosing binder).  Free
 variables are identified by an interned integer id; display names live in
 a side table owned by whoever created the variable (see problem_io).
 
-The measure `size`, the notion of subterm position, and the common
-context of two terms are all defined on beta-reduced terms: positions
-step into the arguments of an applied head (position i selects the i-th
-argument of the spine) and through a binder (position 1), so a partial
-application is never a subterm of a longer application of the same head.
+The measure `size` is defined on beta-reduced terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
-from .errors import IllTyped, InvalidPosition, InvalidState, TypeMismatch
+from .errors import IllTyped
 
 # ---------------------------------------------------------------- types
 
@@ -133,15 +129,6 @@ class Lam:
 
 
 Term = Union[Free, Bound, Const, App, Lam]
-
-#: Hole of a common context.  Only ever appears inside context terms
-#: returned by common_context, never in ordinary terms.
-@dataclass(frozen=True, slots=True)
-class Hole:
-    ty: Type
-
-    def __repr__(self):
-        return "[]"
 
 
 # ------------------------------------------------------- deconstruction
@@ -266,31 +253,6 @@ def free_vars(t: Term) -> dict[int, Free]:
     return out
 
 
-def occurs(t: Term, var_id: int) -> bool:
-    match t:
-        case Free(id=i):
-            return i == var_id
-        case App(fn=f, arg=a):
-            return occurs(f, var_id) or occurs(a, var_id)
-        case Lam(body=u):
-            return occurs(u, var_id)
-        case _:
-            return False
-
-
-def ground(t: Term) -> bool:
-    """No free variables (loose bound variables are fine)."""
-    match t:
-        case Free():
-            return False
-        case App(fn=f, arg=a):
-            return ground(f) and ground(a)
-        case Lam(body=u):
-            return ground(u)
-        case _:
-            return True
-
-
 # ------------------------------------------------------------- measures
 
 
@@ -332,7 +294,7 @@ def type_of(t: Term, depth_tys: tuple[Type, ...] = ()) -> Type:
     cross-check indices when provided by internal callers.
     """
     match t:
-        case Free(ty=ty) | Bound(ty=ty) | Const(ty=ty) | Hole(ty=ty):
+        case Free(ty=ty) | Bound(ty=ty) | Const(ty=ty):
             return ty
         case Lam(binder=b, body=u):
             return Arrow(b, type_of(u, depth_tys))
@@ -361,111 +323,6 @@ def is_beta_normal(t: Term) -> bool:
             return True
 
 
-# ------------------------------------------------------------- positions
-
-Position = tuple[int, ...]
-
-
-def subterm_at(t: Term, pos: Position) -> Term:
-    """Subterm at a position of a beta-reduced term.
-
-    Position i (1-based) selects the i-th argument of an applied head,
-    position 1 steps under a binder.  The head of an application is not
-    itself a subterm, so `f` and `f a` are not subterms of `f a b`.
-    """
-    if not is_beta_normal(t):
-        raise InvalidState("positions are only defined on beta-reduced terms")
-
-    def go(t: Term, pos: Position) -> Term:
-        if not pos:
-            return t
-        i, rest = pos[0], pos[1:]
-        if isinstance(t, Lam):
-            if i != 1:
-                raise InvalidPosition(f"position {i} under a binder")
-            return go(t.body, rest)
-        _, args = spine(t)
-        if not 1 <= i <= len(args):
-            raise InvalidPosition(f"no argument {i} at {t!r}")
-        return go(args[i - 1], rest)
-
-    return go(t, tuple(pos))
-
-
-def positions(t: Term) -> Iterator[tuple[Position, Term]]:
-    """All (position, subterm) pairs of a beta-reduced term, preorder."""
-    if not is_beta_normal(t):
-        raise InvalidState("positions are only defined on beta-reduced terms")
-
-    def go(t: Term, here: Position):
-        yield here, t
-        if isinstance(t, Lam):
-            yield from go(t.body, here + (1,))
-        else:
-            _, args = spine(t)
-            for i, a in enumerate(args, start=1):
-                yield from go(a, here + (i,))
-
-    yield from go(t, ())
-
-
-# --------------------------------------------------------- common context
-
-
-def common_context(s: Term, t: Term) -> tuple[Term, list[tuple[Term, Term]]]:
-    """Largest shared outer structure of two terms of equal type.
-
-    Both inputs must be eta-long beta-reduced.  Returns a context term
-    containing Hole nodes plus the list of (s-side, t-side) pairs sitting
-    at the holes, left to right.
-    """
-    ts, tt = type_of(s), type_of(t)
-    if ts != tt:
-        raise TypeMismatch(f"{ts!r} vs {tt!r}")
-    pairs: list[tuple[Term, Term]] = []
-
-    def go(s: Term, t: Term, depth_tys: tuple[Type, ...]) -> Term:
-        if isinstance(s, Lam) and isinstance(t, Lam):
-            # binder types agree because the overall types agree
-            return Lam(s.binder, go(s.body, t.body, (s.binder,) + depth_tys))
-        hs, sargs = spine(s)
-        ht, targs = spine(t)
-        if hs == ht and len(sargs) == len(targs):
-            return mk_app(
-                hs, [go(a, b, depth_tys) for a, b in zip(sargs, targs)]
-            )
-        pairs.append((s, t))
-        return Hole(type_of(s, depth_tys))
-
-    ctx = go(s, t, ())
-    return ctx, pairs
-
-
-def fill_context(ctx: Term, fillers) -> Term:
-    """Replace the holes of a context, left to right."""
-    it = iter(tuple(fillers))
-
-    def go(t: Term) -> Term:
-        match t:
-            case Hole():
-                try:
-                    return next(it)
-                except StopIteration:
-                    raise InvalidState("fewer fillers than holes") from None
-            case App(fn=f, arg=a):
-                return App(go(f), go(a))
-            case Lam(binder=b, body=u):
-                return Lam(b, go(u))
-            case _:
-                return t
-
-    out = go(ctx)
-    leftover = list(it)
-    if leftover:
-        raise InvalidState(f"{len(leftover)} unused hole fillers")
-    return out
-
-
 # ----------------------------------------------------------- determinism
 
 
@@ -483,5 +340,3 @@ def term_key(t: Term):
             return (3, term_key(f), term_key(a))
         case Lam(body=u):
             return (4, term_key(u))
-        case Hole():
-            return (5,)

@@ -5,8 +5,6 @@
   solid / ground);
 * an independent normalizer (`nbe`) implemented by evaluation and
   type-directed readback, used as the oracle for the normalization code;
-* a brute-force subterm-position enumerator, used as the oracle for
-  `subterm_at`;
 * a canonical rendering of substitutions that is invariant under
   renaming of auxiliary variables, used for "equal mod renaming" checks.
 """
@@ -242,27 +240,6 @@ def _reify(v, ty: Type, depth: int) -> Term:
     out = h
     for a, d in zip(args, arg_types(hty)):
         out = App(out, _reify(a, d, depth))
-    return out
-
-
-# ------------------------------------------------- brute-force positions
-
-
-def brute_positions(t: Term) -> list[tuple[tuple[int, ...], Term]]:
-    """All (position, subterm) pairs of a beta-normal term, by direct
-    recursion: position i descends into the i-th spine argument, position
-    1 descends through a binder; heads are not subterms."""
-    out: list[tuple[tuple[int, ...], Term]] = [((), t)]
-    if isinstance(t, Lam):
-        out.extend(((1,) + p, s) for p, s in brute_positions(t.body))
-        return out
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    for i, a in enumerate(args, start=1):
-        out.extend(((i,) + p, s) for p, s in brute_positions(a))
     return out
 
 

@@ -220,10 +220,13 @@ def test_solve_decl_error_exits_2(tmp_path, capsys):
 
 
 def test_solve_unknown_oracle_exits_2(tmp_path, capsys):
+    # the pragmatic limits are an engine setting, not an oracle
     path = write(tmp_path, FLEX_FLEX_PROBLEM)
-    rc, out, err = run_cli(capsys, ["solve", path, "--oracles", "bogus"])
-    assert rc == 2
-    assert "bogus" in err
+    for name in ("bogus", "limit"):
+        rc, out, err = run_cli(capsys, ["solve", path, "--oracles", name])
+        assert rc == 2
+        assert f"unknown oracle '{name}'" in err
+        assert "known oracles: fixpoint, pattern, solid" in err
 
 
 def test_solve_malformed_limits_exits_2(tmp_path, capsys):

@@ -157,16 +157,18 @@ def test_transition_count_linear_in_context_depth():
     assert totals[100] - totals[50] == 50
 
 
-def test_stepping_never_normalizes_fully():
+def test_stepping_never_normalizes_fully(monkeypatch):
     # driving the decompose cascade performs no full normalization pass,
     # independently of the context depth
+    calls = []
+    full = normalize._bnf
+    monkeypatch.setattr(normalize, "_bnf", lambda t: calls.append(t) or full(t))
     for k in (30, 120):
         F, G = Free(0, II), Free(1, II)
         pairs = [(hpow(k, App(F, a)), hpow(k, App(G, b)))]
         state, search = prepare(pairs, NO_ORACLES)
-        before = normalize.FULL_PASSES
         drive_to_branch(state, search)
-        assert normalize.FULL_PASSES == before
+        assert calls == []
 
 
 # ------------------------------------------------------- rule precedence
@@ -184,29 +186,61 @@ def _expected_step_rules(names):
     return {first}
 
 
+def _assert_step_applies_first_rule(state, search, max_visits):
+    """Walk the states reachable from `state`, checking at each that step()
+    applies the first transition applicable_rules() names."""
+    todo = [state]
+    visited = 0
+    while todo and visited < max_visits:
+        st = todo.pop()
+        visited += 1
+        expected = _expected_step_rules(applicable_rules(st, search))
+        res = step(st, search)
+        assert res.rule in expected, (res.rule, expected)
+        if res.kind != "children":
+            continue
+        if isinstance(res.states, tuple):
+            todo.extend(res.states)
+        else:
+            todo.extend(itertools.islice(res.states, 4))
+
+
+PRECEDENCE_CONFIGS = (
+    NO_ORACLES,
+    EngineConfig(),
+    EngineConfig(variant="pragmatic", oracles=()),
+    EngineConfig(variant="pragmatic", oracles=(), limits=Limits.parse("1,0,1,1,1")),
+)
+
+
 def test_rule_precedence_instrumented():
     """step() always applies the first applicable transition in the fixed
     precedence order, across a random sample of reachable states."""
     rng = random.Random(41)
-    for trial in range(25):
+    for trial in range(40):
         frees = make_frees(rng, 3, 10)
         pairs = [gen_pair(rng, mode="any", frees_l=frees, max_size=7)]
-        cfg = EngineConfig() if trial % 2 else NO_ORACLES
+        cfg = PRECEDENCE_CONFIGS[trial % len(PRECEDENCE_CONFIGS)]
         state, search = prepare(pairs, cfg)
-        todo = [state]
-        visited = 0
-        while todo and visited < 120:
-            st = todo.pop()
-            visited += 1
-            expected = _expected_step_rules(applicable_rules(st, search))
-            res = step(st, search)
-            assert res.rule in expected, (res.rule, expected)
-            if res.kind != "children":
-                continue
-            if isinstance(res.states, tuple):
-                todo.extend(res.states)
-            else:
-                todo.extend(itertools.islice(res.states, 4))
+        _assert_step_applies_first_rule(state, search, 120)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (Free(0, I), Free(1, I)),
+        (Free(0, I), a),
+        (App(Free(0, II), a), App(Free(0, II), b)),
+    ],
+    ids=["flex-flex", "flex-rigid", "same-head"],
+)
+def test_rule_precedence_zero_limits(pair):
+    # with every binding over the limits, the pragmatic cutoff decides
+    cfg = EngineConfig(
+        variant="pragmatic", oracles=(), limits=Limits.parse("0,0,0,0,0")
+    )
+    state, search = prepare([pair], cfg)
+    _assert_step_applies_first_rule(state, search, 20)
 
 
 def test_decompose_requires_equal_heads():
@@ -276,23 +310,45 @@ def test_divergent_problem_streams_unifiers():
         assert_verifies(pairs, sigma)
 
 
-#: the two enumerate streams of the benchmark, pulled to 300 pulls each:
+#: the two enumerate streams of the benchmark, and the pragmatic variant on
+#: the same two problems, each pulled until it ends or reaches 300 pulls:
 #: (unifiers found, first 16 hex digits of the sha256 of the
-#: "pull:subst_key" lines, final stats)
+#: "pull:subst_key" lines, pulls, final status, final stats)
 PINNED_STREAMS = {
     "criterion9": (
         100,
         "0d53aac11ed081ba",
+        300,
+        "running",
         {"bind_huet_projection": 100, "bind_imitation": 101, "decompose": 200,
          "delete": 100, "dereference": 400, "normalize_beta": 400, "succeed": 100},
     ),
     "criterion10": (
         59,
         "d75f8aa8f1d51ac1",
+        300,
+        "running",
         {"bind_elimination": 96, "bind_huet_projection": 2, "bind_identification": 143,
          "bind_imitation": 9, "bind_iteration": 151, "bind_jp_projection": 113,
          "decompose": 106, "delete": 88, "dereference": 630, "normalize_beta": 402,
          "succeed": 59},
+    ),
+    "pragmatic9": (
+        3,
+        "3e216befb6140bf2",
+        8,
+        "exhausted",
+        {"bind_huet_projection": 3, "bind_imitation": 2, "decompose": 5, "delete": 3,
+         "dereference": 10, "normalize_beta": 10, "succeed": 3},
+    ),
+    "pragmatic10": (
+        16,
+        "3b673453cf272315",
+        52,
+        "exhausted",
+        {"bind_elimination": 11, "bind_huet_projection": 8, "bind_identification": 9,
+         "bind_imitation": 5, "decompose": 16, "delete": 13, "dereference": 88,
+         "normalize_beta": 42, "oracle_fail": 2, "oracle_succ": 19, "succeed": 16},
     ),
 }
 
@@ -307,26 +363,29 @@ def _pinned_problems():
     return {
         "criterion9": (divergent, EngineConfig(), [F]),
         "criterion10": (fair, NO_ORACLES, [F3, G]),
+        "pragmatic9": (divergent, EngineConfig(variant="pragmatic"), [F]),
+        "pragmatic10": (fair, EngineConfig(variant="pragmatic", oracles=()), [F3, G]),
     }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
 def test_enumerate_streams_pinned(name):
-    """Same unifiers at the same pull numbers, and the same transitions,
-    as the eagerly composing engine produced on these streams."""
+    """Same unifiers at the same pull numbers, the same transitions and
+    the same end as the pinned runs of these streams."""
     pairs, cfg, problem_vars = _pinned_problems()[name]
     st = solve(pairs, cfg)
     lines = []
-    while st.pulls < 300:
-        sigma = next(st)
+    for sigma in st:
         if sigma is not None:
             assert verify_unifier(pairs, sigma)
             lines.append(f"{st.pulls}:{subst_key(sigma, problem_vars)}")
+        if st.pulls >= 300:
+            break
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-    count, want_digest, want_stats = PINNED_STREAMS[name]
+    count, want_digest, pulls, status, want_stats = PINNED_STREAMS[name]
     assert (len(lines), digest) == (count, want_digest)
+    assert (st.pulls, st.status) == (pulls, status)
     assert st.stats == want_stats
-    assert st.status == "running"
 
 
 def test_budget_status():
@@ -429,29 +488,7 @@ def test_pragmatic_zero_limits_flex_rigid_gives_up():
     assert st.stats.get("oracle_fail") == 1
 
 
-def test_limit_oracle_matches_inline_behaviour():
-    # the registered "limit" oracle mirrors the pragmatic cutoff
-    F, G = Free(0, I), Free(1, I)
-    pairs = [(F, G)]
-    cfg = EngineConfig(
-        variant="pragmatic", oracles=("limit",), limits=Limits.parse("0,0,0,0,0")
-    )
-    st = solve(pairs, cfg)
-    got = st.unifiers(max_pulls=1_000)
-    assert len(got) == 1 and st.stats.get("oracle_succ") == 1
-    assert_verifies(pairs, got[0])
-
-
-# ----------------------------------------------------- selection/variants
-
-
-def test_preunify_stops_at_flex_flex():
-    F, G = Free(0, II), Free(1, II)
-    pairs = [(App(F, a), App(G, b))]
-    st = solve(pairs, EngineConfig(preunify=True))
-    got = st.unifiers(max_pulls=1_000)
-    assert len(got) == 1 and len(got[0]) == 0  # empty preunifier
-    assert st.status == "exhausted"
+# ------------------------------------------------------------- selection
 
 
 def test_selection_orders_rigid_pairs_first():
@@ -463,18 +500,6 @@ def test_selection_orders_rigid_pairs_first():
     state, search = prepare(pairs, NO_ORACLES)
     res = step(state, search)
     assert res.rule == "delete"  # the rigid pair went first
-
-
-def test_fifo_selection_is_honoured():
-    F = Free(0, II)
-    pairs = [
-        (App(F, a), App(F, b)),
-        (App(f, a), App(f, a)),
-    ]
-    cfg = EngineConfig(oracles=(), selection="fifo")
-    state, search = prepare(pairs, cfg)
-    res = step(state, search)
-    assert res.rule == "branch"  # the older flex-flex pair went first
 
 
 def test_determinism_run_twice():

@@ -8,7 +8,7 @@ import pytest
 import termgen
 from termgen import I, II, III, gen_term, nbe
 from hounif.errors import IdempotenceViolation, IllTyped
-from hounif.normalize import canonical
+from hounif.normalize import beta_normal, canonical
 from hounif.subst import (
     IDENTITY,
     FreshSupply,
@@ -52,8 +52,8 @@ def test_apply_golden():
     applied = sigma.apply(t)
     # plain apply substitutes without reducing
     assert applied == Lam(I, App(Lam(I, mk_app(g, [Bound(0, I), a])), Bound(0, I)))
-    # beta-apply contracts the redex; no capture is possible (closed image)
-    assert sigma.apply_beta(t) == Lam(I, mk_app(g, [Bound(0, I), a]))
+    # beta-normalizing contracts the redex; no capture is possible (closed image)
+    assert beta_normal(sigma.apply(t)) == Lam(I, mk_app(g, [Bound(0, I), a]))
     assert sigma.apply(a) == a
     assert IDENTITY.apply(t) is t
 
@@ -188,14 +188,15 @@ def test_fresh_supply_monotone_and_reserving():
     assert v0.sort == PLAIN and v1.sort == IDENTIFICATION
     s.reserve_ids({10, 4})
     assert s.next_id == 11
-    s.reserve_terms([App(Free(20, II), a)])
+    s.reserve_ids(free_vars(App(Free(20, II), a)).keys())
     assert s.next_id == 21
     ids = {s.fresh(I).id for _ in range(50)}
     assert len(ids) == 50 and min(ids) == 21  # never reuses
 
 
 def test_nbe_agrees_on_substituted_terms():
-    # cross-check apply_beta against the independent normalizer
+    # cross-check normalizing substituted terms against the independent
+    # normalizer
     rng = random.Random(24)
     pool = termgen.make_frees(rng, 3, 100)
     ground = termgen.make_frees(rng, 0, 900)

@@ -1,42 +1,34 @@
-"""Term representation: typing, spine views, positions, common contexts."""
+"""Term representation: typing, spine views, measures, ordering."""
 
 import random
 
 import pytest
 
 import termgen
-from termgen import CONSTS, I, II, III, brute_positions, gen_sized, make_frees
-from hounif.errors import IllTyped, InvalidPosition, InvalidState
+from termgen import I, II, III, gen_sized, make_frees
+from hounif.errors import IllTyped
 from hounif.terms import (
     App,
     Arrow,
     Bound,
     Const,
     Free,
-    Hole,
     Lam,
     arg_types,
     arity,
     arrow,
-    common_context,
-    fill_context,
     free_vars,
-    ground,
     instantiate,
-    is_beta_normal,
     is_closed,
     lam_depth,
     loose_bound_ids,
     mk_app,
     mk_lams,
-    occurs,
-    positions,
     result_type,
     shift,
     size,
     spine,
     strip_lams,
-    subterm_at,
     term_key,
     type_of,
 )
@@ -98,8 +90,8 @@ def test_free_vars_occurs_ground():
     F = Free(1, II)
     t = App(f, App(F, a))
     assert set(free_vars(t)) == {1}
-    assert occurs(t, 1) and not occurs(t, 2)
-    assert not ground(t) and ground(App(f, a))
+    assert 1 in free_vars(t) and 2 not in free_vars(t)
+    assert free_vars(t) and not free_vars(App(f, a))
 
 
 def test_size_measure():
@@ -107,73 +99,6 @@ def test_size_measure():
     assert size(App(f, a)) == 2
     assert size(mk_app(g, [a, b])) == 3
     assert size(Lam(I, Bound(0, I))) == 2
-
-
-def test_subterm_positions_match_brute_force():
-    """subterm_at and positions() agree with a direct enumerator on random
-    beta-normal terms of size <= 8."""
-    rng = random.Random(2024)
-    frees = make_frees(rng, 3, 50)
-    for _ in range(400):
-        t = gen_sized(rng, termgen.rand_type(rng), mode="any", frees=frees, max_size=8)
-        expected = brute_positions(t)
-        got = list(positions(t))
-        assert got == expected
-        for pos, sub in expected:
-            assert subterm_at(t, pos) == sub
-
-
-def test_subterm_at_errors():
-    t = mk_app(g, [a, b])
-    with pytest.raises(InvalidPosition):
-        subterm_at(t, (3,))
-    with pytest.raises(InvalidPosition):
-        subterm_at(a, (1,))
-    redex = App(Lam(I, Bound(0, I)), a)
-    assert not is_beta_normal(redex)
-    with pytest.raises(InvalidState):
-        subterm_at(redex, ())
-    with pytest.raises(InvalidState):
-        list(positions(redex))
-
-
-def test_heads_are_not_subterms():
-    # a partial application is never a subterm of a longer application
-    t = mk_app(g, [a, b])
-    subs = [s for _, s in positions(t)]
-    assert App(g, a) not in subs and g not in subs
-    assert a in subs and b in subs
-
-
-def test_common_context_golden():
-    F = Free(1, II)
-    s = App(f, App(f, App(F, a)))
-    t = App(f, App(f, b))
-    ctx, pairs = common_context(s, t)
-    assert ctx == App(f, App(f, Hole(I)))
-    assert pairs == [(App(F, a), b)]
-    assert fill_context(ctx, [l for l, _ in pairs]) == s
-    assert fill_context(ctx, [r for _, r in pairs]) == t
-
-
-def test_common_context_property():
-    rng = random.Random(99)
-    frees = make_frees(rng, 3, 60)
-    for _ in range(300):
-        ty = termgen.rand_type(rng)
-        s = gen_sized(rng, ty, mode="any", frees=frees)
-        t = gen_sized(rng, ty, mode="any", frees=frees)
-        ctx, pairs = common_context(s, t)
-        assert fill_context(ctx, [l for l, _ in pairs]) == s
-        assert fill_context(ctx, [r for _, r in pairs]) == t
-        for l, r in pairs:
-            assert l != r  # the context is maximal
-
-
-def test_fill_context_arity_check():
-    ctx, pairs = common_context(App(f, a), App(f, b))
-    with pytest.raises(InvalidState):
-        fill_context(ctx, [])
 
 
 def test_term_key_total_order():
