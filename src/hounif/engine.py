@@ -83,7 +83,8 @@ from .terms import (
     size_within,
     spine,
     strip_lams,
-    term_key,
+    term_key,  # noqa: F401  (perfbench/tracer.py wraps engine.term_key)
+    term_order,
     type_of,
 )
 
@@ -151,7 +152,7 @@ class Constraint:
         ts, tt = type_of(s), type_of(t)
         if ts != tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
-        if term_key(s) > term_key(t):
+        if term_order(s, t) > 0:
             s, t = t, s
         return Constraint(s, t, seq, counters)
 
@@ -193,6 +194,12 @@ class EngineConfig:
     #: fully normalize both sides up front, which is the one place a huge
     #: mid-search term would get traversed eagerly).
     oracle_size_cap: int = 10_000
+
+    def __post_init__(self):
+        if self.variant not in ("complete", "pragmatic"):
+            raise ValueError(
+                f"unknown variant {self.variant!r}: expected 'complete' or 'pragmatic'"
+            )
 
 
 # ------------------------------------------------------------ step results

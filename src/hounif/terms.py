@@ -108,10 +108,28 @@ class Const:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+# App and Lam carry one slot beyond their fields, `_ty`, where `type_of`
+# memoizes the node's type.  It is not a dataclass field: `__init__` leaves
+# it unset (reads go through `getattr(t, "_ty", None)`), equality and hashing
+# ignore it, and pickling saves the fields only, exactly as a slots dataclass
+# does, so pickled terms are the same bytes whether typed or not.
+def _fields_state(self):
+    return [getattr(self, f) for f in self.__match_args__]
+
+
+def _set_fields_state(self, state):
+    for f, value in zip(self.__match_args__, state):
+        object.__setattr__(self, f, value)
+
+
+@dataclass(frozen=True)
 class App:
+    __slots__ = ("fn", "arg", "_ty")
     fn: "Term"
     arg: "Term"
+
+    __getstate__ = _fields_state
+    __setstate__ = _set_fields_state
 
     def __repr__(self):
         a = f"({self.arg!r})" if isinstance(self.arg, (App, Lam)) else repr(self.arg)
@@ -119,10 +137,14 @@ class App:
         return f"{f} {a}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Lam:
+    __slots__ = ("binder", "body", "_ty")
     binder: Type
     body: "Term"
+
+    __getstate__ = _fields_state
+    __setstate__ = _set_fields_state
 
     def __repr__(self):
         return f"(\\:{self.binder!r}. {self.body!r})"
@@ -287,28 +309,39 @@ def size_within(t: Term, bound: int) -> bool:
     return True
 
 
-def type_of(t: Term, depth_tys: tuple[Type, ...] = ()) -> Type:
+def type_of(t: Term) -> Type:
     """Compute the type, raising IllTyped on inconsistent applications.
 
-    Bound variables carry their own types; depth_tys is only used to
-    cross-check indices when provided by internal callers.
+    Bound variables carry their own types.  The type of an App or Lam node
+    is memoized on the node once its check has passed, so a later call
+    costs O(1) and an ill-typed node raises on every call.
+
+    Dispatches on the exact class rather than with `match`: class patterns
+    cost more than the whole lookup on a leaf or a memoized node.
     """
-    match t:
-        case Free(ty=ty) | Bound(ty=ty) | Const(ty=ty):
+    cls = type(t)
+    if cls is App or cls is Lam:
+        ty = getattr(t, "_ty", None)
+        if ty is not None:
             return ty
-        case Lam(binder=b, body=u):
-            return Arrow(b, type_of(u, depth_tys))
-        case App(fn=f, arg=a):
-            tf = type_of(f, depth_tys)
-            if not isinstance(tf, Arrow):
-                raise IllTyped(f"application of a base-type term: {f!r}")
-            ta = type_of(a, depth_tys)
-            if tf.dom != ta:
-                raise IllTyped(
-                    f"argument type {ta!r} does not match expected {tf.dom!r}"
-                )
-            return tf.cod
-    raise IllTyped(f"not a term: {t!r}")
+    elif cls is Free or cls is Bound or cls is Const:
+        return t.ty
+    else:
+        raise IllTyped(f"not a term: {t!r}")
+    if cls is Lam:
+        ty = Arrow(t.binder, type_of(t.body))
+    else:
+        tf = type_of(t.fn)
+        if not isinstance(tf, Arrow):
+            raise IllTyped(f"application of a base-type term: {t.fn!r}")
+        ta = type_of(t.arg)
+        if tf.dom != ta:
+            raise IllTyped(
+                f"argument type {ta!r} does not match expected {tf.dom!r}"
+            )
+        ty = tf.cod
+    object.__setattr__(t, "_ty", ty)
+    return ty
 
 
 def is_beta_normal(t: Term) -> bool:
@@ -340,3 +373,39 @@ def term_key(t: Term):
             return (3, term_key(f), term_key(a))
         case Lam(body=u):
             return (4, term_key(u))
+
+
+_RANK = {Free: 0, Bound: 1, Const: 2, App: 3, Lam: 4}
+
+
+def term_order(s: Term, t: Term) -> int:
+    """-1, 0 or 1 as term_key(s) is below, equal to or above term_key(t).
+
+    Walks both terms together in the order the keys compare, skips
+    identical subterms and stops at the first difference, so no key is
+    built and shared structure costs nothing.
+    """
+    pending = [(s, t)]
+    while pending:
+        s, t = pending.pop()
+        if s is t:
+            continue
+        cs, ct = type(s), type(t)
+        if cs is not ct:
+            return -1 if _RANK[cs] < _RANK[ct] else 1
+        if cs is App:
+            pending.append((s.arg, t.arg))
+            pending.append((s.fn, t.fn))
+            continue
+        if cs is Lam:
+            pending.append((s.body, t.body))
+            continue
+        if cs is Free:
+            x, y = s.id, t.id
+        elif cs is Bound:
+            x, y = s.index, t.index
+        else:
+            x, y = s.name, t.name
+        if x != y:
+            return -1 if x < y else 1
+    return 0

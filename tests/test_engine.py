@@ -171,6 +171,31 @@ def test_stepping_never_normalizes_fully(monkeypatch):
         assert calls == []
 
 
+def test_type_of_calls_linear_in_tower_height(monkeypatch):
+    # each node's type is computed once and memoized, so solving
+    # h^k a =?= h^k X costs O(k) type_of calls, not one walk per layer
+    from hounif import engine, terms
+
+    calls = 0
+    real = terms.type_of
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(terms, "type_of", counting)
+    monkeypatch.setattr(engine, "type_of", counting)
+    counts = {}
+    for k in (100, 200):
+        X = Free(0, I)
+        calls = 0
+        got = solve([(hpow(k, a), hpow(k, X))], EngineConfig()).unifiers(limit=1)
+        assert len(got) == 1 and got[0].apply(X) == a
+        counts[k] = calls
+    assert counts[200] <= 2.5 * counts[100]
+
+
 # ------------------------------------------------------- rule precedence
 
 
@@ -386,6 +411,12 @@ def test_enumerate_streams_pinned(name):
     assert (len(lines), digest) == (count, want_digest)
     assert (st.pulls, st.status) == (pulls, status)
     assert st.stats == want_stats
+
+
+def test_unknown_variant_rejected():
+    with pytest.raises(ValueError, match="pragmatc"):
+        EngineConfig(variant="pragmatc")
+    assert EngineConfig(variant="pragmatic").variant == "pragmatic"
 
 
 def test_budget_status():

@@ -1,5 +1,6 @@
 """Term representation: typing, spine views, measures, ordering."""
 
+import pickle
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from hounif.terms import (
     spine,
     strip_lams,
     term_key,
+    term_order,
     type_of,
 )
 
@@ -113,3 +115,68 @@ def test_term_key_total_order():
         for t in terms:
             if s == t:
                 assert term_key(s) == term_key(t)
+
+
+def _key_sign(s, t):
+    ks, kt = term_key(s), term_key(t)
+    return (ks > kt) - (ks < kt)
+
+
+def _rebuilt(t):
+    """A term equal to t that shares no node with it."""
+    return pickle.loads(pickle.dumps(t))
+
+
+def _fpow(k, t):
+    for _ in range(k):
+        t = App(f, t)
+    return t
+
+
+def test_term_order_matches_term_key():
+    rng = random.Random(17)
+    frees = make_frees(rng, 3, 80)
+    pool = [
+        gen_sized(rng, termgen.rand_type(rng), frees=frees, max_size=10)
+        for _ in range(150)
+    ]
+    pool += [_rebuilt(t) for t in pool[:50]]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(10_000)]
+    # equal but distinct objects, and differences only at depth >= 200
+    pairs += [(t, _rebuilt(t)) for t in pool[:50]]
+    X = Free(80, I)
+    for k in (200, 250):
+        for lo, hi in ((a, b), (a, X), (App(f, a), App(f, b)), (a, _rebuilt(a))):
+            s, t = _fpow(k, lo), _fpow(k, hi)
+            pairs += [(s, t), (t, s), (Lam(I, s), Lam(I, t))]
+            pairs += [(mk_app(g, [s, a]), mk_app(g, [t, b]))]
+    seen = set()
+    for s, t in pairs:
+        want = _key_sign(s, t)
+        assert term_order(s, t) == want, (s, t)
+        seen.add(want)
+    assert seen == {-1, 0, 1}
+
+
+def test_type_of_ill_typed_raises_every_time():
+    # a type is memoized only after its check passed
+    for bad in (App(a, b), App(f, f), Lam(I, App(f, App(a, b)))):
+        for _ in range(2):
+            with pytest.raises(IllTyped):
+                type_of(bad)
+
+
+def test_type_memo_invisible_to_equality_hash_and_pickle():
+    rng = random.Random(3)
+    frees = make_frees(rng, 2, 90)
+    for _ in range(20):
+        ty = termgen.rand_type(rng)
+        t = _rebuilt(gen_sized(rng, ty, frees=frees, max_size=12))  # no memo yet
+        before = pickle.dumps(t)
+        assert type_of(t) == ty
+        if isinstance(t, (App, Lam)):
+            assert t._ty == ty  # memoized on the node
+        assert pickle.dumps(t) == before
+        back = pickle.loads(before)  # untyped again
+        assert back == t and hash(back) == hash(t)
+        assert type_of(back) == ty
