@@ -138,9 +138,16 @@ class Limits:
 
 @dataclass(frozen=True)
 class Constraint:
-    """An unordered pair of terms of equal type, kept in a canonical
-    orientation; `seq` is the insertion sequence number used to break
-    selection ties."""
+    """An unordered pair of terms of equal type; `seq` is the insertion
+    sequence number used to break selection ties.
+
+    `make` puts a pair in the canonical orientation (`term_order`), except
+    a rigid pair: one whose sides have equally long binder prefixes and
+    constant or bound-variable heads.  No transition reads the orientation
+    of a rigid pair, since it is only ever failed, deleted or decomposed,
+    and decomposition orients each child through `make`.  So a tower of
+    rigid layers is built without walking to the first difference on
+    every layer."""
 
     lhs: Term
     rhs: Term
@@ -152,7 +159,7 @@ class Constraint:
         ts, tt = type_of(s), type_of(t)
         if ts != tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
-        if term_order(s, t) > 0:
+        if not _rigid_pair(s, t) and term_order(s, t) > 0:
             s, t = t, s
         return Constraint(s, t, seq, counters)
 
@@ -170,9 +177,7 @@ class UnifState:
     next_seq: int
 
     def without(self, c: Constraint) -> tuple[Constraint, ...]:
-        out = list(self.constraints)
-        out.remove(c)
-        return tuple(out)
+        return tuple(x for x in self.constraints if x is not c)
 
 
 @dataclass(frozen=True)
@@ -246,6 +251,16 @@ def _head_of(t: Term) -> Term:
     _, body = strip_lams(t)
     head, _ = spine(body)
     return head
+
+
+def _rigid_pair(s: Term, t: Term) -> bool:
+    """Equally long binder prefixes, and a constant or bound head on each
+    side."""
+    return (
+        lam_depth(s) == lam_depth(t)
+        and type(_head_of(s)) in (Const, Bound)
+        and type(_head_of(t)) in (Const, Bound)
+    )
 
 
 def side_is_flex(t: Term, subst: TriangularSubst) -> bool:
@@ -553,12 +568,16 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
 
     _, hs, _, ht, _ = _aligned_views(s, t)
     flex_l, flex_r = isinstance(hs, Free), isinstance(ht, Free)
-    if not flex_l and not flex_r and hs != ht:
-        return "fail", c, None
+    if not flex_l and not flex_r:
+        if hs != ht:
+            return "fail", c, None
+        # hashes are memoized per node, so along a cascade of decomposes
+        # each node is hashed once and each layer's check costs O(1)
+        if hash(s) == hash(t) and s == t:
+            return "delete", c, None
+        return "branch", c, (True, ())
     if s == t:
         return "delete", c, None
-    if not flex_l and not flex_r:
-        return "branch", c, (True, ())
 
     # oracle phase: the first oracle with an opinion wins (oversized
     # constraints skip it; oracles normalize eagerly)

@@ -108,11 +108,12 @@ class Const:
         return self.name
 
 
-# App and Lam carry one slot beyond their fields, `_ty`, where `type_of`
-# memoizes the node's type.  It is not a dataclass field: `__init__` leaves
-# it unset (reads go through `getattr(t, "_ty", None)`), equality and hashing
-# ignore it, and pickling saves the fields only, exactly as a slots dataclass
-# does, so pickled terms are the same bytes whether typed or not.
+# App and Lam carry two slots beyond their fields: `_ty`, where `type_of`
+# memoizes the node's type, and `_hash`, where `__hash__` memoizes the
+# node's structural hash.  Neither is a dataclass field: `__init__` leaves
+# them unset (reads go through `getattr(t, "_ty", None)`), equality ignores
+# them, and pickling saves the fields only, exactly as a slots dataclass
+# does, so pickled terms are the same bytes whether typed or hashed or not.
 def _fields_state(self):
     return [getattr(self, f) for f in self.__match_args__]
 
@@ -122,14 +123,83 @@ def _set_fields_state(self, state):
         object.__setattr__(self, f, value)
 
 
+def _term_hash(self):
+    """The dataclass hash, `hash(fields)`, memoized on every App/Lam node.
+
+    The nodes below `self` that have no hash yet are hashed bottom-up by
+    an explicit post-order walk, so each child's hash is a memo read, no
+    call recurses, and a shared subterm is walked once.
+    """
+    h = getattr(self, "_hash", None)
+    if h is not None:
+        return h
+    todo = [(self, False)]
+    while todo:
+        t, kids_done = todo.pop()
+        app = type(t) is App
+        if kids_done:
+            h = hash((t.fn, t.arg)) if app else hash((t.binder, t.body))
+            object.__setattr__(t, "_hash", h)
+            continue
+        todo.append((t, True))
+        for u in (t.fn, t.arg) if app else (t.body,):
+            cls = type(u)
+            if (cls is App or cls is Lam) and getattr(u, "_hash", None) is None:
+                todo.append((u, False))
+    return h
+
+
+def _term_eq(self, other):
+    """Structural equality, walking both terms together without recursion.
+
+    Identical subterms are skipped, and the walk stops at the first pair
+    of nodes whose memoized hashes both exist and differ.  It never
+    computes a hash, so comparing fresh terms costs one visit per node.
+    """
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pending = []
+    s, t = self, other
+    while True:
+        cls = type(s)
+        if type(t) is not cls:
+            return False
+        if cls is App or cls is Lam:
+            hs = getattr(s, "_hash", None)
+            if hs is not None:
+                ht = getattr(t, "_hash", None)
+                if ht is not None and hs != ht:
+                    return False
+            if cls is App:
+                u, v = s.fn, t.fn
+                if u is not v:
+                    pending.append((u, v))
+                s, t = s.arg, t.arg
+            else:
+                if s.binder != t.binder:
+                    return False
+                s, t = s.body, t.body
+            if s is not t:
+                continue
+        elif s != t:
+            return False
+        if not pending:
+            return True
+        s, t = pending.pop()
+
+
 @dataclass(frozen=True)
 class App:
-    __slots__ = ("fn", "arg", "_ty")
+    __slots__ = ("fn", "arg", "_ty", "_hash")
     fn: "Term"
     arg: "Term"
 
     __getstate__ = _fields_state
     __setstate__ = _set_fields_state
+    __eq__ = _term_eq
+    __hash__ = _term_hash
 
     def __repr__(self):
         a = f"({self.arg!r})" if isinstance(self.arg, (App, Lam)) else repr(self.arg)
@@ -139,12 +209,14 @@ class App:
 
 @dataclass(frozen=True)
 class Lam:
-    __slots__ = ("binder", "body", "_ty")
+    __slots__ = ("binder", "body", "_ty", "_hash")
     binder: Type
     body: "Term"
 
     __getstate__ = _fields_state
     __setstate__ = _set_fields_state
+    __eq__ = _term_eq
+    __hash__ = _term_hash
 
     def __repr__(self):
         return f"(\\:{self.binder!r}. {self.body!r})"
@@ -258,20 +330,21 @@ def is_closed(t: Term) -> bool:
 
 
 def free_vars(t: Term) -> dict[int, Free]:
-    """All free variables, keyed by id (insertion order = first occurrence)."""
+    """All free variables, keyed by id (insertion order = first occurrence,
+    left to right).  Iterative, so term depth is not bounded by the
+    interpreter's recursion limit."""
     out: dict[int, Free] = {}
-
-    def go(t: Term):
-        match t:
-            case Free():
-                out.setdefault(t.id, t)
-            case App(fn=f, arg=a):
-                go(f)
-                go(a)
-            case Lam(body=u):
-                go(u)
-
-    go(t)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is App:
+            stack.append(t.arg)
+            stack.append(t.fn)
+        elif cls is Lam:
+            stack.append(t.body)
+        elif cls is Free and t.id not in out:
+            out[t.id] = t
     return out
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from hounif.engine import (
     verify_unifier,
 )
 from hounif.errors import TypeMismatch
+from hounif.problem_io import parse_problem
 from hounif.subst import Substitution
 from hounif.terms import (
     App,
@@ -39,6 +41,7 @@ h = Const("h", II)
 g = Const("g", III)
 
 NO_ORACLES = EngineConfig(oracles=())
+DEMO_PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "problems"
 
 
 def hpow(k, t):
@@ -194,6 +197,72 @@ def test_type_of_calls_linear_in_tower_height(monkeypatch):
         assert len(got) == 1 and got[0].apply(X) == a
         counts[k] = calls
     assert counts[200] <= 2.5 * counts[100]
+
+
+def test_term_order_calls_constant_in_tower_height(monkeypatch):
+    # rigid pairs are not oriented, so only the flex pair at the bottom
+    # of h^k a =?= h^k X walks term_order, whatever k
+    from hounif import engine
+
+    calls = 0
+    real = engine.term_order
+
+    def counting(s, t):
+        nonlocal calls
+        calls += 1
+        return real(s, t)
+
+    monkeypatch.setattr(engine, "term_order", counting)
+    counts = {}
+    for k in (100, 200):
+        X = Free(0, I)
+        calls = 0
+        got = solve([(hpow(k, a), hpow(k, X))], EngineConfig()).unifiers(limit=1)
+        assert len(got) == 1 and got[0].apply(X) == a
+        counts[k] = calls
+    assert counts[100] == counts[200]
+
+
+def test_tower_600_solves():
+    X = Free(0, I)
+    st = solve([(hpow(600, a), hpow(600, X))], EngineConfig())
+    got = st.unifiers()
+    assert [subst_key(sigma, [X]) for sigma in got] == [
+        subst_key(Substitution(((X, a),)), [X])
+    ]
+    assert st.status == "exhausted"
+
+
+def _stream_record(pairs, cfg, problem_vars, max_pulls=300):
+    """A stream pulled until it ends or reaches `max_pulls`, as (the
+    "pull:subst_key" line of each unifier, pulls, status, stats); every
+    unifier is verified."""
+    st = solve(pairs, cfg)
+    lines = []
+    for sigma in st:
+        if sigma is not None:
+            assert verify_unifier(pairs, sigma)
+            lines.append(f"{st.pulls}:{subst_key(sigma, problem_vars)}")
+        if st.pulls >= max_pulls:
+            break
+    return lines, st.pulls, st.status, st.stats
+
+
+def test_swapping_sides_changes_nothing():
+    # rigid pairs keep the sides as given; decomposition orients the
+    # children, so the stream cannot depend on the input's orientation
+    deep = parse_problem((DEMO_PROBLEMS / "deep_context.hou").read_text())
+    F, G = Free(0, II), Free(1, II)
+    problems = [
+        (list(deep.goals), list(deep.variables.values())),
+        ([(hpow(40, App(F, a)), hpow(40, App(G, b)))], [F, G]),
+    ]
+    for pairs, problem_vars in problems:
+        swapped = [(t, s) for s, t in pairs]
+        for cfg in (EngineConfig(), NO_ORACLES):
+            want = _stream_record(pairs, cfg, problem_vars)
+            assert want[0]
+            assert _stream_record(swapped, cfg, problem_vars) == want
 
 
 # ------------------------------------------------------- rule precedence
@@ -398,19 +467,12 @@ def test_enumerate_streams_pinned(name):
     """Same unifiers at the same pull numbers, the same transitions and
     the same end as the pinned runs of these streams."""
     pairs, cfg, problem_vars = _pinned_problems()[name]
-    st = solve(pairs, cfg)
-    lines = []
-    for sigma in st:
-        if sigma is not None:
-            assert verify_unifier(pairs, sigma)
-            lines.append(f"{st.pulls}:{subst_key(sigma, problem_vars)}")
-        if st.pulls >= 300:
-            break
+    lines, got_pulls, got_status, got_stats = _stream_record(pairs, cfg, problem_vars)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     count, want_digest, pulls, status, want_stats = PINNED_STREAMS[name]
     assert (len(lines), digest) == (count, want_digest)
-    assert (st.pulls, st.status) == (pulls, status)
-    assert st.stats == want_stats
+    assert (got_pulls, got_status) == (pulls, status)
+    assert got_stats == want_stats
 
 
 def test_unknown_variant_rejected():

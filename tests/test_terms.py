@@ -133,7 +133,9 @@ def _fpow(k, t):
     return t
 
 
-def test_term_order_matches_term_key():
+def _seeded_pairs():
+    """10,000 seeded pairs of random terms, plus equal but distinct
+    objects and pairs that differ only at depth >= 200."""
     rng = random.Random(17)
     frees = make_frees(rng, 3, 80)
     pool = [
@@ -142,7 +144,6 @@ def test_term_order_matches_term_key():
     ]
     pool += [_rebuilt(t) for t in pool[:50]]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(10_000)]
-    # equal but distinct objects, and differences only at depth >= 200
     pairs += [(t, _rebuilt(t)) for t in pool[:50]]
     X = Free(80, I)
     for k in (200, 250):
@@ -150,12 +151,97 @@ def test_term_order_matches_term_key():
             s, t = _fpow(k, lo), _fpow(k, hi)
             pairs += [(s, t), (t, s), (Lam(I, s), Lam(I, t))]
             pairs += [(mk_app(g, [s, a]), mk_app(g, [t, b]))]
+    return pairs
+
+
+def test_term_order_matches_term_key():
+    pairs = _seeded_pairs()
     seen = set()
     for s, t in pairs:
         want = _key_sign(s, t)
         assert term_order(s, t) == want, (s, t)
         seen.add(want)
     assert seen == {-1, 0, 1}
+
+
+def test_equality_matches_term_order_and_hash():
+    # once without memoized hashes, once with: the memo may only cut
+    # the walk short, never change the verdict
+    pairs = _seeded_pairs()  # freshly built: no node has a memoized hash
+    verdicts = [s == t for s, t in pairs]
+    assert True in verdicts and False in verdicts
+    for (s, t), equal in zip(pairs, verdicts):
+        # term_order ignores types, which equally typed terms share
+        if type_of(s) == type_of(t):
+            assert equal == (term_order(s, t) == 0), (s, t)
+        elif equal:
+            assert term_order(s, t) == 0
+        assert (s != t) == (not equal)
+        if equal:
+            assert hash(s) == hash(t)
+    assert [s == t for s, t in pairs] == verdicts
+
+
+def test_hash_is_the_dataclass_hash_and_walks_shared_nodes_once():
+    # the memo holds what a frozen dataclass computes, hash(fields); a
+    # term of 2^60 paths but 61 distinct nodes hashes at once
+    t = a
+    for _ in range(60):
+        t = mk_app(g, [t, t])
+    t = Lam(I, t)
+    u = t.body.arg
+    assert hash(t) == hash((I, App(App(g, u), u)))
+    assert t._hash == hash(t) and u._hash == hash((App(g, u.arg), u.arg))
+
+
+def _tower(k, leaf):
+    t = leaf
+    for _ in range(k):
+        t = App(f, t)
+    return t
+
+
+def test_deep_equality_and_hash_do_not_recurse():
+    # two distinct 5,000-deep towers, under the default recursion limit
+    for lo, hi, equal in ((a, a, True), (a, b, False), (App(f, a), b, False)):
+        s, t = _tower(5000, lo), _tower(5000, hi)
+        assert s is not t
+        assert (s == t) is equal and (s != t) is not equal
+        assert (Lam(I, s) == Lam(I, t)) is equal
+        assert (hash(s) == hash(t)) is equal
+        assert (s == t) is equal  # now with both hashes memoized
+
+
+def _free_vars_reference(t):
+    out = {}
+
+    def go(t):
+        if isinstance(t, Free):
+            out.setdefault(t.id, t)
+        elif isinstance(t, App):
+            go(t.fn)
+            go(t.arg)
+        elif isinstance(t, Lam):
+            go(t.body)
+
+    go(t)
+    return out
+
+
+def test_free_vars_matches_recursive_reference():
+    rng = random.Random(11)
+    frees = make_frees(rng, 4, 60)
+    for _ in range(300):
+        t = gen_sized(rng, termgen.rand_type(rng), frees=frees, max_size=14)
+        want = _free_vars_reference(t)
+        got = free_vars(t)
+        assert list(got.items()) == list(want.items())  # first-occurrence order
+
+
+def test_free_vars_at_depth_5000():
+    X, Y = Free(0, I), Free(1, I)
+    t = Lam(I, mk_app(g, [Y, _tower(5000, mk_app(g, [X, Y]))]))
+    assert list(free_vars(t)) == [1, 0]
 
 
 def test_type_of_ill_typed_raises_every_time():
@@ -177,6 +263,10 @@ def test_type_memo_invisible_to_equality_hash_and_pickle():
         if isinstance(t, (App, Lam)):
             assert t._ty == ty  # memoized on the node
         assert pickle.dumps(t) == before
-        back = pickle.loads(before)  # untyped again
-        assert back == t and hash(back) == hash(t)
+        h = hash(t)
+        if isinstance(t, (App, Lam)):
+            assert t._hash == h  # memoized on the node
+        assert pickle.dumps(t) == before
+        back = pickle.loads(before)  # untyped and unhashed again
+        assert back == t and hash(back) == h
         assert type_of(back) == ty
