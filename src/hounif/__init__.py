@@ -28,7 +28,7 @@ from .fingerprint import (
     fp_ho,
 )
 from .normalize import alpha_beta_eta_equal, beta_normal, canonical, eta_long
-from .oracles import NotApplicable, NotUnifiable, OracleContext, Success, resolve
+from .oracles import NotApplicable, NotUnifiable, Success, resolve
 from .problem_io import (
     IndexFile,
     Problem,
@@ -64,7 +64,7 @@ __all__ = [
     "DeclError", "EngineConfig", "FingerprintIndex", "Free", "FreshSupply",
     "HounifError", "IdempotenceViolation", "IllTyped", "IndexFile",
     "InternalError", "InvalidPosition", "InvalidState", "Lam", "Limits",
-    "NotApplicable", "NotUnifiable", "OracleContext", "ParseError",
+    "NotApplicable", "NotUnifiable", "ParseError",
     "Problem", "Substitution", "Success", "Term", "Type", "TypeMismatch",
     "UnifierStream", "alpha_beta_eta_equal", "arrow", "beta_normal",
     "canonical", "compatible_match", "compatible_unif", "compose",

@@ -23,9 +23,12 @@ flex-flex pairs and keeps the bindings within its per-constraint limits.
 When the limits drop every binding, its cutoff solves a flex-flex pair
 by a shared fresh head and fails a flex-rigid one.
 
-Terms are never normalized beyond what head classification needs; full
-normalization happens only inside oracles, when resolving an image that
-a binding touched, and when verifying a result.
+Terms are never normalized beyond what head classification needs.  An
+image a binding touched is kept beta-normal by hereditary substitution,
+which contracts only the redexes the binding creates.  Full
+normalization happens once per oracle phase, when the selected
+constraint's sides are resolved and canonicalized for all the oracles,
+and when verifying a result.
 Search trees are enumerated fairly: every branch point dovetails its
 children, and long deterministic stretches emit pacing markers so that
 siblings keep getting probed.  The solver therefore yields a stream of
@@ -54,11 +57,12 @@ from .normalize import (
     ReductionBudget,
     canonical,
     eta_expand_prefix,
+    fuel_left,
     hnf,
     is_hnf,
     reduction_fuel,
 )
-from .oracles import NotApplicable, NotUnifiable, OracleContext, Success
+from .oracles import NotApplicable, NotUnifiable, Success
 from .subst import FreshSupply, Overgrown, Substitution, TriangularSubst
 from .subst import compose  # noqa: F401  (perfbench/tracer.py wraps engine.compose)
 from .terms import (
@@ -580,24 +584,32 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
         return "delete", c, None
 
     # oracle phase: the first oracle with an opinion wins (oversized
-    # constraints skip it; oracles normalize eagerly)
-    if _oracle_sized(s, t, cfg):
-        octx = OracleContext(subst=subst, supply=search.supply)
-        for name, fn in search.oracle_fns:
-            try:
-                with reduction_fuel(_FUEL_FACTOR * cfg.oracle_size_cap):
-                    verdict = fn(s, t, octx)
-            except ReductionBudget:
-                continue  # too expensive to decide; fall through to branching
-            match verdict:
-                case Success(csu=csu):
-                    return ("oracle_succ" if csu else "oracle_fail"), c, csu
-                case NotUnifiable():
-                    return "oracle_fail", c, None
-                case NotApplicable():
-                    continue
-                case _:
-                    raise InternalError(f"oracle {name} returned {verdict!r}")
+    # constraints skip it; oracles normalize eagerly).  Both sides are
+    # resolved and canonicalized once, under the phase's fuel; each oracle
+    # then gets what that leaves, as if it had canonicalized them itself.
+    if search.oracle_fns and _oracle_sized(s, t, cfg):
+        try:
+            with reduction_fuel(_FUEL_FACTOR * cfg.oracle_size_cap):
+                cs, ct = canonical(subst.apply(s)), canonical(subst.apply(t))
+                fuel = fuel_left()
+        except ReductionBudget:
+            pass  # too expensive to decide, for every oracle alike
+        else:
+            for name, fn in search.oracle_fns:
+                try:
+                    with reduction_fuel(fuel):
+                        verdict = fn(cs, ct, search.supply)
+                except ReductionBudget:
+                    continue  # too expensive to decide; fall through to branching
+                match verdict:
+                    case Success(csu=csu):
+                        return ("oracle_succ" if csu else "oracle_fail"), c, csu
+                    case NotUnifiable():
+                        return "oracle_fail", c, None
+                    case NotApplicable():
+                        continue
+                    case _:
+                        raise InternalError(f"oracle {name} returned {verdict!r}")
 
     F, other = (hs, ht) if flex_l else (ht, hs)
     bindings = ((b, _binding_delta(b)) for b in _candidates(F, other, search) if b is not None)

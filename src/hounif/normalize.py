@@ -52,6 +52,11 @@ def reduction_fuel(limit: int):
         _FUEL.pop()
 
 
+def fuel_left() -> int:
+    """The units left in the innermost `reduction_fuel` block."""
+    return _FUEL[-1]
+
+
 def _charge() -> None:
     if _FUEL:
         _FUEL[-1] -= 1

@@ -1,6 +1,6 @@
 """Oracles: decision procedures for fragments of higher-order unification.
 
-An oracle is a callable ``oracle(lhs, rhs, ctx) -> verdict`` where the
+An oracle is a callable ``oracle(s, t, supply) -> verdict`` where the
 verdict is one of
 
 * ``Success(csu)`` -- the constraint lies in the oracle's fragment and
@@ -9,12 +9,15 @@ verdict is one of
 * ``NotUnifiable()`` -- the constraint provably has no unifier;
 * ``NotApplicable()`` -- the oracle cannot decide this constraint.
 
-Oracles receive the raw constraint sides together with the current
-substitution and resolve them internally; unlike the main solver loop
-they are free to normalize terms fully.  The registry holds the three
-decision procedures of this package: ``pattern``, ``solid`` and
-``fixpoint``.  The pragmatic variant's binding limits are not an oracle;
-the engine applies them when it builds a constraint's bindings.
+The sides ``s`` and ``t`` are resolved and canonical: the engine
+applies the current substitution to a constraint and brings both sides
+to eta-long beta-normal form once per oracle phase, and every oracle of
+the phase reads the same pair.  Fresh variables come from ``supply``.
+Unlike the main solver loop, oracles are free to normalize terms fully.
+The registry holds the three decision procedures of this package:
+``pattern``, ``solid`` and ``fixpoint``.  The pragmatic variant's
+binding limits are not an oracle; the engine applies them when it builds
+a constraint's bindings.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..subst import FreshSupply, Substitution, TriangularSubst
+from ..subst import FreshSupply, Substitution
 from ..terms import Bound, Term, spine, strip_lams
 
 
@@ -44,16 +47,7 @@ class NotApplicable:
 Verdict = Success | NotUnifiable | NotApplicable
 
 
-@dataclass
-class OracleContext:
-    """Everything an oracle may consult: the substitution built so far and
-    a fresh-variable supply."""
-
-    subst: Substitution | TriangularSubst
-    supply: FreshSupply
-
-
-OracleFn = Callable[[Term, Term, OracleContext], Verdict]
+OracleFn = Callable[[Term, Term, FreshSupply], Verdict]
 
 _REGISTRY: dict[str, OracleFn] = {}
 

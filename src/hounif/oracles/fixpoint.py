@@ -14,17 +14,10 @@ eta-expansion ``\\zbar. F zbar``):
 
 from __future__ import annotations
 
-from ..normalize import canonical
-from ..subst import Substitution
+from ..normalize import canonical  # noqa: F401  (perfbench/tracer.py wraps fixpoint.canonical)
+from ..subst import FreshSupply, Substitution
 from ..terms import Free, Lam, Term, spine, strip_lams
-from . import (
-    NotApplicable,
-    NotUnifiable,
-    OracleContext,
-    Success,
-    eta_bound_index,
-    register,
-)
+from . import NotApplicable, NotUnifiable, Success, eta_bound_index, register
 
 
 def _bare_var(t: Term) -> Free | None:
@@ -63,9 +56,7 @@ def _occurrences(t: Term, var_id: int) -> list[tuple[int, bool]]:
 
 
 @register("fixpoint")
-def fixpoint_oracle(lhs: Term, rhs: Term, ctx: OracleContext):
-    s = canonical(ctx.subst.apply(lhs))
-    t = canonical(ctx.subst.apply(rhs))
+def fixpoint_oracle(s: Term, t: Term, supply: FreshSupply):
     if s == t:
         return Success((Substitution(),))
     for a, b in ((s, t), (t, s)):

@@ -29,7 +29,7 @@ from ..terms import (
     strip_lams,
     type_of,
 )
-from . import NotApplicable, NotUnifiable, OracleContext, Success, eta_bound_index, register
+from . import NotApplicable, NotUnifiable, Success, eta_bound_index, register
 
 
 class _Clash(Exception):
@@ -189,14 +189,12 @@ def unify_patterns(pairs, supply: FreshSupply) -> Substitution | None:
 
 
 @register("pattern")
-def pattern_oracle(lhs: Term, rhs: Term, ctx: OracleContext):
-    s = canonical(ctx.subst.apply(lhs))
-    t = canonical(ctx.subst.apply(rhs))
+def pattern_oracle(s: Term, t: Term, supply: FreshSupply):
     if type_of(s) != type_of(t):
         return NotApplicable()
     if not (is_pattern(s) and is_pattern(t)):
         return NotApplicable()
-    sigma = unify_patterns([(s, t)], ctx.supply)
+    sigma = unify_patterns([(s, t)], supply)
     if sigma is None:
         return NotUnifiable()
     return Success((sigma,))

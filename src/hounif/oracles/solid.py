@@ -51,7 +51,7 @@ from ..terms import (
     strip_lams,
     type_of,
 )
-from . import NotApplicable, OracleContext, Success, eta_bound_index, register
+from . import NotApplicable, Success, eta_bound_index, register
 
 _CAP = 1_000_000
 
@@ -334,16 +334,14 @@ class _PT:
 
 
 @register("solid")
-def solid_oracle(lhs: Term, rhs: Term, ctx: OracleContext):
-    s = canonical(ctx.subst.apply(lhs))
-    t = canonical(ctx.subst.apply(rhs))
+def solid_oracle(s: Term, t: Term, supply: FreshSupply):
     if type_of(s) != type_of(t):
         return NotApplicable()
     if not (is_solid(s) and is_solid(t)):
         return NotApplicable()
     fvs, fvt = free_vars(s), free_vars(t)
     problem_ids = frozenset(fvs) | frozenset(fvt)
-    pt = _PT(ctx.supply)
+    pt = _PT(supply)
     try:
         if fvs.keys() & fvt.keys():
             hs, ht = _flex_head(s), _flex_head(t)

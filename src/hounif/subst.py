@@ -8,8 +8,8 @@ is trivially capture-avoiding.
 
 The engine's state substitution is a `TriangularSubst`: the branch
 substitutions in the order they were applied, with each variable's image
-under their composition resolved on demand and memoized, instead of an
-eagerly composed `Substitution`.
+under their composition resolved on demand by hereditary substitution
+and memoized, instead of an eagerly composed `Substitution`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .errors import IdempotenceViolation, IllTyped
 from .normalize import ReductionBudget, beta_normal, reduction_fuel
 from .terms import (
     App,
+    Bound,
+    Const,
     Free,
     Lam,
     PLAIN,
@@ -99,16 +101,33 @@ class Substitution:
         return self._apply(t)
 
     def _apply(self, t: Term) -> Term:
-        match t:
-            case Free(id=i):
-                entry = self._map.get(i)
-                return entry[1] if entry else t
-            case App(fn=f, arg=a):
-                return App(self._apply(f), self._apply(a))
-            case Lam(binder=b, body=u):
-                return Lam(b, self._apply(u))
-            case _:
-                return t
+        """Iterative post-order rebuild; a subterm with no mapped variable
+        comes back as the same object."""
+        m = self._map
+        done: list[Term] = []
+        todo: list = [t]
+        while todo:
+            u = todo.pop()
+            cls = type(u)
+            if cls is App:
+                todo += ((u,), u.arg, u.fn)
+            elif cls is Lam:
+                todo += ((u,), u.body)
+            elif cls is tuple:  # the children of u[0] are done
+                u = u[0]
+                if type(u) is App:
+                    a = done.pop()
+                    f = done.pop()
+                    done.append(u if f is u.fn and a is u.arg else App(f, a))
+                else:
+                    b = done.pop()
+                    done.append(u if b is u.body else Lam(u.binder, b))
+            elif cls is Free:
+                entry = m.get(u.id)
+                done.append(entry[1] if entry else u)
+            else:
+                done.append(u)
+        return done[0]
 
     # -- algebra -------------------------------------------------------
 
@@ -118,24 +137,15 @@ class Substitution:
             [(v, t) for v, t in self.items() if v.id in keep], validate=False
         )
 
-    def is_idempotent(self) -> bool:
-        dom = set(self._map)
-        for _, image in self._map.values():
-            if dom & free_vars(image).keys():
-                return False
-        return True
-
 
 IDENTITY = Substitution()
 
 
-def compose(outer: Substitution, inner: Substitution, check: bool = False) -> Substitution:
+def compose(outer: Substitution, inner: Substitution) -> Substitution:
     """The substitution taking t to outer(inner(t)).
 
     Images of `inner` get `outer` applied and are beta-normalized;
     entries of `outer` for variables not mapped by `inner` are kept.
-    With check=True the result is required to be idempotent, which is the
-    invariant the engine maintains for every state substitution.
     """
     entries: list[tuple[Free, Term]] = []
     for var, image in inner.items():
@@ -146,12 +156,7 @@ def compose(outer: Substitution, inner: Substitution, check: bool = False) -> Su
     for var, image in outer.items():
         if var.id not in inner:
             entries.append((var, image))
-    out = Substitution(entries, validate=False)
-    if check and not out.is_idempotent():
-        raise IdempotenceViolation(
-            f"composition is not idempotent: {out!r}"
-        )
-    return out
+    return Substitution(entries, validate=False)
 
 
 class Overgrown(Exception):
@@ -159,36 +164,203 @@ class Overgrown(Exception):
 
 
 #: stack frames per level of term depth allowed for the recursive term
-#: traversals (apply, beta and eta normalization, equality): a resolved
+#: traversals (normalization, eta expansion, type checking): a resolved
 #: image deeper than the recursion limit divided by this is refused, so
 #: that every image the engine keeps can still be normalized and compared.
 _FRAMES_PER_LEVEL = 4
 
 
-def _measured(t: Term, max_size: int, max_depth: int) -> frozenset[int]:
-    """Free variable ids of t, raising Overgrown when t has more than
-    max_size nodes (counted as by `size`) or is deeper than max_depth.
-    Iterative, so the check itself cannot overflow the stack."""
+def _measure(t: Term) -> tuple[frozenset[int], int, int, bool]:
+    """Free variable ids, size (as counted by `size`), height and whether
+    t is beta-normal, in one iterative walk."""
     fv: set[int] = set()
-    count = 0
+    count = height = 0
+    normal = True
     stack = [(t, 0)]
     while stack:
         u, d = stack.pop()
-        if d > max_depth:
-            raise Overgrown
-        match u:
-            case App(fn=f, arg=a):  # the App node itself counts 0
-                stack.append((f, d + 1))
-                stack.append((a, d + 1))
-                continue
-            case Lam(body=b):
-                stack.append((b, d + 1))
-            case Free(id=i):
-                fv.add(i)
+        cls = type(u)
+        if cls is App:  # the App node itself counts 0
+            if type(u.fn) is Lam:
+                normal = False
+            stack.append((u.fn, d + 1))
+            stack.append((u.arg, d + 1))
+            continue
         count += 1
-        if count > max_size:
+        if cls is Lam:
+            stack.append((u.body, d + 1))
+            continue
+        if d > height:
+            height = d
+        if cls is Free:
+            fv.add(u.id)
+    return frozenset(fv), count, height, normal
+
+
+#: a term with its size, height and loose-index bound (one more than its
+#: largest loose bound index, 0 when it is closed)
+_Value = tuple[Term, int, int, int]
+
+_EVAL, _SPINE, _WRAP, _REST = range(4)
+
+#: the environment of a plain traversal: no bound variable instantiated,
+#: none shifted
+_PLAIN = ((), 0, None)
+
+
+def _applied(head: _Value, argv: list[_Value], same: Optional[Term] = None) -> _Value:
+    """The value of a neutral head applied to argument values; `same`,
+    when given, is an existing term equal to that application, and then
+    nothing is built."""
+    term, size, height, loose = head
+    i = len(argv)
+    height += i
+    for a, s, h, l in argv:
+        if same is None:
+            term = App(term, a)
+        size += s
+        h += i
+        if h > height:
+            height = h
+        if l > loose:
+            loose = l
+        i -= 1
+    return (term if same is None else same), size, height, loose
+
+
+def _hereditary(t: Term, images: dict[int, _Value], fuel: int) -> tuple[_Value, bool]:
+    """Hereditary substitution (Watkins, Cervesato, Pfenning & Walker, *A
+    Concurrent Logical Framework I*, CMU-CS-02-101): the beta-normal form
+    of t with every variable in `images` replaced by its image, for a
+    beta-normal t and closed beta-normal images.
+
+    Only the redexes the substitution creates are contracted: where a
+    replaced variable, or a bound variable being instantiated, heads a
+    spine, its image is instantiated with the substituted arguments by
+    the same pass, which may in turn create redexes further down.  A
+    subterm nothing touches comes back as the same object.  Every result
+    carries its size and height, so no further walk measures it.
+
+    One fuel unit goes to each spine visited and each contraction; running
+    out raises Overgrown.  Returns t's value and whether every argument a
+    contraction dropped was a bound variable or a constant (if so, no free
+    variable was lost).  Iterative: `todo` holds frames, `out` values.
+
+    A traversal's environment is (vals, k, used): at depth d below its
+    root, a loose index d + j becomes vals[j] shifted by d for j < len(vals),
+    and the index d + j - len(vals) + k otherwise; `used` marks the vals
+    that occurred."""
+    out: list[_Value] = []
+    todo: list = [(_EVAL, t, 0, _PLAIN)]
+    kept = True
+
+    def contract(head: _Value, argv: list[_Value]) -> None:
+        nonlocal fuel
+        fn = head[0]
+        if type(fn) is not Lam:
+            out.append(_applied(head, argv))
+            return
+        fuel -= 1
+        if fuel < 0:
             raise Overgrown
-    return frozenset(fv)
+        m = 0
+        while m < len(argv) and type(fn) is Lam:
+            fn = fn.body
+            m += 1
+        vals = tuple(argv[m - 1::-1])
+        used = [False] * m
+        todo.append((_REST, argv[m:], vals, used))
+        todo.append((_EVAL, fn, 0, (vals, 0, used)))
+
+    while todo:
+        frame = todo.pop()
+        tag = frame[0]
+        if tag == _EVAL:
+            _, u, d, env = frame
+            fuel -= 1
+            if fuel < 0:
+                raise Overgrown
+            body = u
+            nl = 0
+            while type(body) is Lam:
+                body = body.body
+                nl += 1
+            if nl:
+                todo.append((_WRAP, u, body, nl))
+                d += nl
+            args_rev = []
+            head = body
+            while type(head) is App:
+                args_rev.append(head.arg)
+                head = head.fn
+            new_head = head
+            value = None  # the head's replacement
+            shifted = False
+            cls = type(head)
+            if cls is Free:
+                value = images.get(head.id)
+            elif cls is Bound and head.index >= d:
+                vals, k, used = env
+                j = head.index - d
+                if j < len(vals):
+                    used[j] = True
+                    value = vals[j]
+                    shifted = d > 0 and value[3] > 0
+                elif k != len(vals):
+                    new_head = Bound(head.index - len(vals) + k, head.ty)
+            if args_rev:
+                todo.append((_SPINE, body, head, new_head, value, args_rev, shifted))
+                for a in args_rev:
+                    todo.append((_EVAL, a, d, env))
+            if shifted:  # the instantiated argument, moved under d binders
+                todo.append((_EVAL, value[0], 0, ((), d, None)))
+            elif not args_rev:
+                if value is None:
+                    value = new_head, 1, 0, new_head.index + 1 if cls is Bound else 0
+                out.append(value)
+        elif tag == _SPINE:
+            _, body, head, new_head, value, args_rev, shifted = frame
+            n = len(args_rev)
+            argv = out[-n:]
+            del out[-n:]
+            if shifted:
+                value = out.pop()
+            if value is not None:
+                contract(value, argv)
+                continue
+            same = body if new_head is head else None
+            for a, _, _, _ in argv:
+                n -= 1
+                if a is not args_rev[n]:
+                    same = None
+                    break
+            loose = new_head.index + 1 if type(new_head) is Bound else 0
+            out.append(_applied((new_head, 1, 0, loose), argv, same))
+        elif tag == _WRAP:
+            _, u, body, nl = frame
+            term, size, height, loose = out.pop()
+            if term is body:
+                term = u
+            else:
+                binders = []
+                for _ in range(nl):
+                    binders.append(u.binder)
+                    u = u.body
+                for b in reversed(binders):
+                    term = Lam(b, term)
+            out.append((term, size + nl, height + nl, loose - nl if loose > nl else 0))
+        else:  # _REST: a contraction's body is done
+            _, rest, vals, used = frame
+            if kept and not all(used):
+                kept = all(
+                    hit or type(v[0]) in (Bound, Const) for v, hit in zip(vals, used)
+                )
+            result = out.pop()
+            if rest:
+                contract(result, rest)
+            else:
+                out.append(result)
+    return out[0], kept
 
 
 #: a resolved image: (variable, image, free variable ids of the image)
@@ -207,12 +379,17 @@ class TriangularSubst:
     up to the nearest node that knows the variable and back down through
     each rho that touches the image.  Every node passed on the way memoizes
     the result, so descendants and siblings reuse it; an unbound variable
-    is memoized as None.  Each new image is checked against the size and
-    depth caps and normalized under the reduction fuel; a failed check
-    raises Overgrown.
+    is memoized as None.
+
+    Images stay beta-normal: a node normalizes an image of its rho that is
+    not, and each step down substitutes rho's images into the image by
+    hereditary substitution, which contracts only the redexes it creates
+    and measures the result as it builds it.  An image over the size or
+    depth cap, or one that needs more than the reduction fuel, raises
+    Overgrown.
     """
 
-    __slots__ = ("parent", "rho", "top", "guard", "_memo")
+    __slots__ = ("parent", "rho", "top", "guard", "_memo", "_images")
 
     def __init__(self, parent: Optional["TriangularSubst"], rho: Substitution,
                  top: int, guard: tuple[int, int, int]):
@@ -222,12 +399,24 @@ class TriangularSubst:
         self.top = top
         #: (max image size, reduction fuel per resolution, max image depth)
         self.guard = guard
-        max_size, _, max_depth = guard
+        max_size, fuel, max_depth = guard
         #: var id -> its resolved entry here, or None if it is unbound here
-        self._memo: dict[int, Optional[_Entry]] = {
-            var.id: (var, image, _measured(image, max_size, max_depth))
-            for var, image in rho.items()
-        }
+        self._memo: dict[int, Optional[_Entry]] = {}
+        #: var id -> rho's image of it, as a value of the hereditary pass
+        self._images: dict[int, _Value] = {}
+        for var, image in rho.items():
+            fv, size, height, normal = _measure(image)
+            if not normal:
+                try:
+                    with reduction_fuel(fuel):
+                        image = beta_normal(image)
+                except ReductionBudget:
+                    raise Overgrown from None
+                fv, size, height, _ = _measure(image)
+            if size > max_size or height > max_depth:
+                raise Overgrown
+            self._memo[var.id] = (var, image, fv)
+            self._images[var.id] = (image, size, height, 0)
 
     @classmethod
     def root(cls, max_size: int, fuel: int) -> "TriangularSubst":
@@ -273,15 +462,19 @@ class TriangularSubst:
     def _through(self, entry: _Entry) -> _Entry:
         """A resolved entry of the parent, resolved at this node."""
         var, image, fv = entry
-        if fv.isdisjoint(self.rho._map):
+        images = self._images
+        if fv.isdisjoint(images):
             return entry
         max_size, fuel, max_depth = self.guard
-        try:
-            with reduction_fuel(fuel):
-                image = beta_normal(self.rho.apply(image))
-        except ReductionBudget:
-            raise Overgrown from None
-        return var, image, _measured(image, max_size, max_depth)
+        (image, size, height, _), kept = _hereditary(image, images, fuel)
+        if size > max_size or height > max_depth:
+            raise Overgrown
+        if kept:  # then the new free variables are exactly these
+            memo = self._memo
+            fv = fv.difference(images).union(*(memo[i][2] for i in fv.intersection(images)))
+        else:
+            fv = frozenset(free_vars(image))
+        return var, image, fv
 
     def image_of(self, var_id: int) -> Optional[Term]:
         """The resolved image of a variable, or None if it is unbound."""

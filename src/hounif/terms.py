@@ -276,33 +276,35 @@ def bvars(n: int, tys) -> list[Term]:
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add `by` to every loose index >= cutoff."""
-    match t:
-        case Bound(index=i, ty=ty):
-            return Bound(i + by, ty) if i >= cutoff else t
-        case App(fn=f, arg=a):
-            return App(shift(f, by, cutoff), shift(a, by, cutoff))
-        case Lam(binder=b, body=u):
-            return Lam(b, shift(u, by, cutoff + 1))
-        case _:
-            return t
+    """Add `by` to every loose index >= cutoff.
+
+    Like `type_of`, dispatches on the exact class: a class pattern costs
+    more than the work done at a leaf."""
+    cls = type(t)
+    if cls is Bound:
+        return Bound(t.index + by, t.ty) if t.index >= cutoff else t
+    if cls is App:
+        return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
+    if cls is Lam:
+        return Lam(t.binder, shift(t.body, by, cutoff + 1))
+    return t
 
 
 def instantiate(body: Term, arg: Term) -> Term:
     """Contract one beta redex: replace index 0 of `body` by `arg`."""
 
     def go(t: Term, depth: int) -> Term:
-        match t:
-            case Bound(index=i, ty=ty):
-                if i == depth:
-                    return shift(arg, depth)
-                return Bound(i - 1, ty) if i > depth else t
-            case App(fn=f, arg=a):
-                return App(go(f, depth), go(a, depth))
-            case Lam(binder=b, body=u):
-                return Lam(b, go(u, depth + 1))
-            case _:
-                return t
+        cls = type(t)
+        if cls is Bound:
+            i = t.index
+            if i == depth:
+                return shift(arg, depth)
+            return Bound(i - 1, t.ty) if i > depth else t
+        if cls is App:
+            return App(go(t.fn, depth), go(t.arg, depth))
+        if cls is Lam:
+            return Lam(t.binder, go(t.body, depth + 1))
+        return t
 
     return go(body, 0)
 

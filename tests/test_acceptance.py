@@ -29,7 +29,9 @@ from hounif.fingerprint import (
     compatible_unif,
     fp_ho,
 )
-from hounif.oracles import NotApplicable, NotUnifiable, OracleContext, Success, resolve
+from hounif.normalize import canonical
+from hounif.oracles import NotApplicable, NotUnifiable, Success
+from hounif.oracles import resolve as _resolve
 from hounif.subst import FreshSupply, Substitution
 from hounif.terms import App, Bound, Const, Free, Lam, arrow, free_vars, mk_app, type_of
 
@@ -77,8 +79,15 @@ def drive_to_branch(state, search, max_steps=10_000):
     raise AssertionError("no branch point reached")
 
 
-def oracle_ctx(start=50_000) -> OracleContext:
-    return OracleContext(subst=Substitution(), supply=FreshSupply(start))
+def oracle_ctx(start=50_000) -> FreshSupply:
+    return FreshSupply(start)
+
+
+def resolve(name):
+    """The named oracle, called on a constraint as the engine calls it:
+    on both sides in canonical form."""
+    oracle = _resolve(name)
+    return lambda lhs, rhs, supply: oracle(canonical(lhs), canonical(rhs), supply)
 
 
 # ---------------------------------------------------------------------------

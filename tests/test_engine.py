@@ -9,7 +9,7 @@ import pytest
 
 import termgen
 from termgen import I, II, III, assert_verifies, gen_pair, make_frees, subst_key
-from hounif import normalize
+from hounif import normalize, oracles
 from hounif.engine import (
     EngineConfig,
     Limits,
@@ -21,7 +21,7 @@ from hounif.engine import (
 )
 from hounif.errors import TypeMismatch
 from hounif.problem_io import parse_problem
-from hounif.subst import Substitution
+from hounif.subst import Substitution, TriangularSubst
 from hounif.terms import (
     App,
     Const,
@@ -462,6 +462,30 @@ def _pinned_problems():
     }
 
 
+def test_oracle_phase_resolves_each_side_once(monkeypatch):
+    # criterion 9: every oracle abstains on every flex pair, so each phase
+    # consults all three; the sides are resolved once for all of them
+    calls = {"apply": 0, "phases": 0}
+    resolve_sides = TriangularSubst.apply
+    first_oracle = oracles.resolve("pattern")
+
+    def counted_apply(subst, t):
+        calls["apply"] += 1
+        return resolve_sides(subst, t)
+
+    def counted_phase(s, t, supply):
+        calls["phases"] += 1
+        return first_oracle(s, t, supply)
+
+    monkeypatch.setattr(TriangularSubst, "apply", counted_apply)
+    monkeypatch.setitem(oracles._REGISTRY, "pattern", counted_phase)
+    pairs, cfg, _ = _pinned_problems()["criterion9"]
+    st = solve(pairs, cfg)
+    assert st.unifiers(max_pulls=60)
+    assert calls["phases"] > 0
+    assert calls["apply"] == 2 * calls["phases"]
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
 def test_enumerate_streams_pinned(name):
     """Same unifiers at the same pull numbers, the same transitions and
@@ -627,7 +651,8 @@ def test_random_problems_sound_and_idempotent():
         st = solve(pairs, cfg)
         for sigma in st.unifiers(limit=3, max_pulls=800):
             assert verify_unifier(pairs, sigma)
-            assert sigma.is_idempotent()
+            dom = {v.id for v in sigma.domain()}
+            assert all(dom.isdisjoint(free_vars(image)) for _, image in sigma.items())
 
 
 def _assert_triangular_well_formed(subst):
@@ -644,7 +669,7 @@ def _assert_triangular_well_formed(subst):
         node = node.parent
     resolved = subst.restrict(domain)
     assert len(resolved) == len(domain)
-    assert resolved.is_idempotent()
+    assert all(set(domain).isdisjoint(free_vars(image)) for _, image in resolved.items())
 
 
 def test_intermediate_substitutions_idempotent():

@@ -18,14 +18,14 @@ from hounif.engine import EngineConfig, solve
 from hounif.oracles import (
     NotApplicable,
     NotUnifiable,
-    OracleContext,
     Success,
     eta_bound_index,
+    fixpoint,
+    pattern,
 )
-from hounif.oracles.fixpoint import fixpoint_oracle
-from hounif.oracles.pattern import is_pattern, pattern_oracle, unify_patterns
+from hounif.oracles.pattern import is_pattern, unify_patterns
 from hounif.oracles import solid as solid_mod
-from hounif.oracles.solid import is_linear, is_solid, solid_oracle
+from hounif.oracles.solid import is_linear, is_solid
 from hounif.normalize import canonical
 from hounif.subst import FreshSupply, Substitution
 from hounif.terms import (
@@ -46,8 +46,24 @@ g = Const("g", III)
 q = Const("q", arrow([II], I))
 
 
-def ctx(subst=Substitution(), start=1_000) -> OracleContext:
-    return OracleContext(subst=subst, supply=FreshSupply(start))
+def ctx(subst=Substitution(), start=1_000) -> tuple[Substitution, FreshSupply]:
+    return subst, FreshSupply(start)
+
+
+def _as_the_engine_calls(oracle):
+    """The oracle called on a constraint as the engine calls it: both
+    sides resolved under the context's substitution and canonical."""
+
+    def call(lhs, rhs, context):
+        subst, supply = context
+        return oracle(canonical(subst.apply(lhs)), canonical(subst.apply(rhs)), supply)
+
+    return call
+
+
+fixpoint_oracle = _as_the_engine_calls(fixpoint.fixpoint_oracle)
+pattern_oracle = _as_the_engine_calls(pattern.pattern_oracle)
+solid_oracle = _as_the_engine_calls(solid_mod.solid_oracle)
 
 
 # -------------------------------------------------------------- fixpoint
