@@ -15,8 +15,6 @@ from .errors import (
     IdempotenceViolation,
     IllTyped,
     InternalError,
-    InvalidPosition,
-    InvalidState,
     ParseError,
     TypeMismatch,
 )
@@ -63,7 +61,7 @@ __all__ = [
     "App", "Arrow", "Base", "Bound", "Const", "DEFAULT_POSITIONS",
     "DeclError", "EngineConfig", "FingerprintIndex", "Free", "FreshSupply",
     "HounifError", "IdempotenceViolation", "IllTyped", "IndexFile",
-    "InternalError", "InvalidPosition", "InvalidState", "Lam", "Limits",
+    "InternalError", "Lam", "Limits",
     "NotApplicable", "NotUnifiable", "ParseError",
     "Problem", "Substitution", "Success", "Term", "Type", "TypeMismatch",
     "UnifierStream", "alpha_beta_eta_equal", "arrow", "beta_normal",

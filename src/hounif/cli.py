@@ -190,8 +190,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parsing, normalization and the engine recurse once per level of
-        # term nesting
+        # the parser, eta expansion, head normalization and type checking
+        # recurse once per level of term nesting; beta normalization does not
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

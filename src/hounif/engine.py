@@ -27,8 +27,9 @@ Terms are never normalized beyond what head classification needs.  An
 image a binding touched is kept beta-normal by hereditary substitution,
 which contracts only the redexes the binding creates.  Full
 normalization happens once per oracle phase, when the selected
-constraint's sides are resolved and canonicalized for all the oracles,
-and when verifying a result.
+constraint's sides are resolved and canonicalized for all the oracles
+on one explicit `Fuel` meter (each oracle then gets a meter of what is
+left), and when verifying a result.
 Search trees are enumerated fairly: every branch point dovetails its
 children, and long deterministic stretches emit pacing markers so that
 siblings keep getting probed.  The solver therefore yields a stream of
@@ -53,19 +54,12 @@ from .bindings import (
     jp_projection,
 )
 from .errors import InternalError, TypeMismatch
-from .normalize import (
-    ReductionBudget,
-    canonical,
-    eta_expand_prefix,
-    fuel_left,
-    hnf,
-    is_hnf,
-    reduction_fuel,
-)
+from .normalize import Fuel, ReductionBudget, canonical, eta_expand_prefix, hnf, is_hnf
 from .oracles import NotApplicable, NotUnifiable, Success
 from .subst import FreshSupply, Overgrown, Substitution, TriangularSubst
 from .subst import compose  # noqa: F401  (perfbench/tracer.py wraps engine.compose)
 from .terms import (
+    App,
     Arrow,
     Base,
     Bound,
@@ -80,6 +74,7 @@ from .terms import (
     arity,
     arrow,
     free_vars,
+    head_of,
     lam_depth,
     mk_app,
     mk_lams,
@@ -195,9 +190,10 @@ class EngineConfig:
     #: nodes is abandoned (and the truncation reported as a budget stop);
     #: bindings that duplicate arguments can otherwise double the state size
     #: on every transition, making a single step arbitrarily expensive.
-    #: The same stop applies to a resolved image deeper than the interpreter's
-    #: recursion limit allows, or one whose normalization needs more than
-    #: `_FUEL_FACTOR` reduction units per node of this cap.
+    #: The same stop applies to a resolved image deeper than the traversals
+    #: that still recurse (eta expansion, type checking) allow at the
+    #: interpreter's recursion limit, or one whose beta normalization needs
+    #: more than `_FUEL_FACTOR` reduction units per node of this cap.
     max_image_size: int = 2_000
     #: constraints larger than this skip the oracle phase (oracles have to
     #: fully normalize both sides up front, which is the one place a huge
@@ -251,19 +247,13 @@ class Search:
 # ----------------------------------------------------------- head analysis
 
 
-def _head_of(t: Term) -> Term:
-    _, body = strip_lams(t)
-    head, _ = spine(body)
-    return head
-
-
 def _rigid_pair(s: Term, t: Term) -> bool:
     """Equally long binder prefixes, and a constant or bound head on each
     side."""
     return (
         lam_depth(s) == lam_depth(t)
-        and type(_head_of(s)) in (Const, Bound)
-        and type(_head_of(t)) in (Const, Bound)
+        and type(head_of(s)) in (Const, Bound)
+        and type(head_of(t)) in (Const, Bound)
     )
 
 
@@ -271,12 +261,12 @@ def side_is_flex(t: Term, subst: TriangularSubst) -> bool:
     """Head classification through the resolved image of a substituted
     head, with no normalization; a redex head counts as rigid (it will
     resolve soon)."""
-    head = _head_of(t)
+    head = head_of(t)
     if isinstance(head, Free):
         image = subst.image_of(head.id)
         if image is None:
             return True
-        return isinstance(_head_of(image), Free)
+        return isinstance(head_of(image), Free)
     return False
 
 
@@ -318,20 +308,18 @@ def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
             add(ty.dom)
             add(ty.cod)
 
-    def walk(t: Term):
-        match t:
-            case Free(ty=ty) | Bound(ty=ty) | Const(ty=ty):
-                add(ty)
-            case Lam(binder=b, body=u):
-                add(b)
-                walk(u)
-            case _:
-                if hasattr(t, "fn"):
-                    walk(t.fn)
-                    walk(t.arg)
-
-    for t in terms:
-        walk(t)
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is App:
+            stack.append(t.fn)
+            stack.append(t.arg)
+        elif cls is Lam:
+            add(t.binder)
+            stack.append(t.body)
+        else:
+            add(t.ty)
     return tuple(sorted(seen, key=lambda ty: (_type_size(ty), _type_key(ty))))
 
 
@@ -460,7 +448,7 @@ def _within_limits(
 def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
     """{F -> \\xbar. H, G -> \\ybar. H}: collapse a flex-flex pair whose
     binding budget is spent onto a shared fresh head."""
-    hl, hr = _head_of(c.lhs), _head_of(c.rhs)
+    hl, hr = head_of(c.lhs), head_of(c.rhs)
     H = supply.fresh(result_type(hl.ty))
     entries = [(hl, mk_lams(arg_types(hl.ty), H))]
     if hr.id != hl.id:
@@ -585,20 +573,19 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
 
     # oracle phase: the first oracle with an opinion wins (oversized
     # constraints skip it; oracles normalize eagerly).  Both sides are
-    # resolved and canonicalized once, under the phase's fuel; each oracle
-    # then gets what that leaves, as if it had canonicalized them itself.
+    # resolved and canonicalized once, on the phase's fuel; each oracle
+    # then gets a meter of what that leaves, as if it had canonicalized
+    # them itself.
     if search.oracle_fns and _oracle_sized(s, t, cfg):
+        phase = Fuel(_FUEL_FACTOR * cfg.oracle_size_cap)
         try:
-            with reduction_fuel(_FUEL_FACTOR * cfg.oracle_size_cap):
-                cs, ct = canonical(subst.apply(s)), canonical(subst.apply(t))
-                fuel = fuel_left()
+            cs, ct = canonical(subst.apply(s), phase), canonical(subst.apply(t), phase)
         except ReductionBudget:
             pass  # too expensive to decide, for every oracle alike
         else:
             for name, fn in search.oracle_fns:
                 try:
-                    with reduction_fuel(fuel):
-                        verdict = fn(cs, ct, search.supply)
+                    verdict = fn(cs, ct, search.supply, Fuel(phase.left))
                 except ReductionBudget:
                     continue  # too expensive to decide; fall through to branching
                 match verdict:

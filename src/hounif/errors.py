@@ -13,15 +13,6 @@ class TypeMismatch(HounifError):
     """Two terms that were required to share a type do not."""
 
 
-class InvalidPosition(HounifError):
-    """A subterm position does not exist in the given term."""
-
-
-class InvalidState(HounifError):
-    """An operation was called on input outside its contract
-    (e.g. a position lookup on a term that is not beta-reduced)."""
-
-
 class IdempotenceViolation(HounifError):
     """A substitution composition would break the idempotence invariant."""
 

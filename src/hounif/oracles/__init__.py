@@ -1,7 +1,7 @@
 """Oracles: decision procedures for fragments of higher-order unification.
 
-An oracle is a callable ``oracle(s, t, supply) -> verdict`` where the
-verdict is one of
+An oracle is a callable ``oracle(s, t, supply, fuel) -> verdict`` where
+the verdict is one of
 
 * ``Success(csu)`` -- the constraint lies in the oracle's fragment and
   ``csu`` is a complete set of unifiers for it (an empty tuple means the
@@ -13,7 +13,11 @@ The sides ``s`` and ``t`` are resolved and canonical: the engine
 applies the current substitution to a constraint and brings both sides
 to eta-long beta-normal form once per oracle phase, and every oracle of
 the phase reads the same pair.  Fresh variables come from ``supply``.
-Unlike the main solver loop, oracles are free to normalize terms fully.
+Unlike the main solver loop, oracles are free to normalize terms fully,
+but they pass ``fuel`` (a ``normalize.Fuel`` holding what the phase's
+canonicalization left) to every ``canonical`` and ``compose`` call; an
+oracle that runs out raises ``ReductionBudget`` and the engine moves on
+to the next one.
 The registry holds the three decision procedures of this package:
 ``pattern``, ``solid`` and ``fixpoint``.  The pragmatic variant's
 binding limits are not an oracle; the engine applies them when it builds
@@ -25,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..normalize import Fuel
 from ..subst import FreshSupply, Substitution
 from ..terms import Bound, Term, spine, strip_lams
 
@@ -47,7 +52,7 @@ class NotApplicable:
 Verdict = Success | NotUnifiable | NotApplicable
 
 
-OracleFn = Callable[[Term, Term, FreshSupply], Verdict]
+OracleFn = Callable[[Term, Term, FreshSupply, Fuel], Verdict]
 
 _REGISTRY: dict[str, OracleFn] = {}
 

@@ -14,7 +14,7 @@ eta-expansion ``\\zbar. F zbar``):
 
 from __future__ import annotations
 
-from ..normalize import canonical  # noqa: F401  (perfbench/tracer.py wraps fixpoint.canonical)
+from ..normalize import Fuel, canonical  # noqa: F401  (perfbench/tracer.py wraps fixpoint.canonical)
 from ..subst import FreshSupply, Substitution
 from ..terms import Free, Lam, Term, spine, strip_lams
 from . import NotApplicable, NotUnifiable, Success, eta_bound_index, register
@@ -56,7 +56,7 @@ def _occurrences(t: Term, var_id: int) -> list[tuple[int, bool]]:
 
 
 @register("fixpoint")
-def fixpoint_oracle(s: Term, t: Term, supply: FreshSupply):
+def fixpoint_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
     if s == t:
         return Success((Substitution(),))
     for a, b in ((s, t), (t, s)):

@@ -12,7 +12,7 @@ bound variable means there is no unifier at all.
 from __future__ import annotations
 
 from ..errors import InternalError
-from ..normalize import canonical
+from ..normalize import Fuel, canonical
 from ..subst import FreshSupply, Substitution, compose
 from ..terms import (
     Bound,
@@ -66,7 +66,7 @@ def _flex_args(args) -> list[int]:
     return idxs
 
 
-def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply) -> Term:
+def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply, fuel: Fuel) -> Term:
     """Rewrite the rigid side into the body of F's image: bound references
     into the constraint prefix become references to F's own binders via
     `inv` (prefix index -> argument position).  Raises _Clash when a rigid
@@ -105,26 +105,28 @@ def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply) -> 
             g_tys,
             mk_app(narrowed, [Bound(len(g_tys) - 1 - p, g_tys[p]) for p in keep]),
         )
-        raise _Prune(Substitution(((head, canonical(image)),)))
+        raise _Prune(Substitution(((head, canonical(image, fuel)),)))
 
     return go(t_body, 0)
 
 
-def _bind(F: Free, body: Term) -> Substitution:
-    return Substitution(((F, canonical(mk_lams(arg_types(F.ty), body))),))
+def _bind(F: Free, body: Term, fuel: Fuel) -> Substitution:
+    return Substitution(((F, canonical(mk_lams(arg_types(F.ty), body), fuel)),))
 
 
-def _flex_same(F: Free, us: list[int], vs: list[int], supply: FreshSupply) -> Substitution:
+def _flex_same(
+    F: Free, us: list[int], vs: list[int], supply: FreshSupply, fuel: Fuel
+) -> Substitution:
     tys = arg_types(F.ty)
     keep = [j for j in range(len(us)) if us[j] == vs[j]]
     fresh = supply.fresh(arrow([tys[j] for j in keep], result_type(F.ty)))
     m = len(tys)
     body = mk_app(fresh, [Bound(m - 1 - j, tys[j]) for j in keep])
-    return _bind(F, body)
+    return _bind(F, body, fuel)
 
 
 def _flex_diff(
-    F: Free, us: list[int], G: Free, vs: list[int], supply: FreshSupply
+    F: Free, us: list[int], G: Free, vs: list[int], supply: FreshSupply, fuel: Fuel
 ) -> Substitution:
     f_tys, g_tys = arg_types(F.ty), arg_types(G.ty)
     common = [u for u in us if u in set(vs)]
@@ -136,14 +138,16 @@ def _flex_diff(
     g_body = mk_app(fresh, [Bound(n - 1 - vs.index(c), g_tys[vs.index(c)]) for c in common])
     return Substitution(
         (
-            (F, canonical(mk_lams(f_tys, f_body))),
-            (G, canonical(mk_lams(g_tys, g_body))),
+            (F, canonical(mk_lams(f_tys, f_body), fuel)),
+            (G, canonical(mk_lams(g_tys, g_body), fuel)),
         )
     )
 
 
-def unify_patterns(pairs, supply: FreshSupply) -> Substitution | None:
-    """MGU of the given pattern pairs, or None if there is no unifier."""
+def unify_patterns(pairs, supply: FreshSupply, fuel: Fuel | None = None) -> Substitution | None:
+    """MGU of the given pattern pairs, or None if there is no unifier;
+    the normalization draws on `fuel`, unlimited by default."""
+    fuel = Fuel() if fuel is None else fuel
     sigma = Substitution()
     work = list(pairs)
     steps = 0
@@ -153,8 +157,8 @@ def unify_patterns(pairs, supply: FreshSupply) -> Substitution | None:
             if steps > 100_000:
                 raise InternalError("pattern unification did not converge")
             s, t = work.pop()
-            s = canonical(sigma.apply(s))
-            t = canonical(sigma.apply(t))
+            s = canonical(sigma.apply(s), fuel)
+            t = canonical(sigma.apply(t), fuel)
             if s == t:
                 continue
             tys, sbody = strip_lams(s)
@@ -169,32 +173,33 @@ def unify_patterns(pairs, supply: FreshSupply) -> Substitution | None:
                     (mk_lams(tys, a), mk_lams(tys, b)) for a, b in zip(sargs, targs)
                 )
             elif sflex and tflex and hs.id == ht.id:
-                sigma = compose(_flex_same(hs, _flex_args(sargs), _flex_args(targs), supply), sigma)
+                rho = _flex_same(hs, _flex_args(sargs), _flex_args(targs), supply, fuel)
+                sigma = compose(rho, sigma, fuel)
             elif sflex and tflex:
-                sigma = compose(
-                    _flex_diff(hs, _flex_args(sargs), ht, _flex_args(targs), supply), sigma
-                )
+                rho = _flex_diff(hs, _flex_args(sargs), ht, _flex_args(targs), supply, fuel)
+                sigma = compose(rho, sigma, fuel)
             else:
                 if not sflex:
                     hs, sargs, tbody = ht, targs, sbody
                 inv = {u: j for j, u in enumerate(_flex_args(sargs))}
                 try:
-                    sigma = compose(_bind(hs, _invert(hs, inv, tbody, supply)), sigma)
+                    rho = _bind(hs, _invert(hs, inv, tbody, supply, fuel), fuel)
                 except _Prune as p:
-                    sigma = compose(p.rho, sigma)
+                    rho = p.rho
                     work.append((s, t))
+                sigma = compose(rho, sigma, fuel)
     except _Clash:
         return None
     return sigma
 
 
 @register("pattern")
-def pattern_oracle(s: Term, t: Term, supply: FreshSupply):
+def pattern_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
     if type_of(s) != type_of(t):
         return NotApplicable()
     if not (is_pattern(s) and is_pattern(t)):
         return NotApplicable()
-    sigma = unify_patterns([(s, t)], supply)
+    sigma = unify_patterns([(s, t)], supply, fuel)
     if sigma is None:
         return NotUnifiable()
     return Success((sigma,))

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import InternalError
-from ..normalize import canonical
+from ..normalize import Fuel, canonical
 from ..subst import FreshSupply, Substitution, compose
 from ..terms import (
     Base,
@@ -109,8 +109,9 @@ def _flex_head(side: Term):
 
 
 class _PT:
-    def __init__(self, supply: FreshSupply):
+    def __init__(self, supply: FreshSupply, fuel: Fuel):
         self.supply = supply
+        self.fuel = fuel
         self.transitions = 0
 
     def _tick(self) -> None:
@@ -135,10 +136,10 @@ class _PT:
             for rho, children in reversed(self._branches(E[picked])):
                 self._tick()
                 applied = tuple(
-                    (canonical(rho.apply(a)), canonical(rho.apply(b)), tg)
+                    (canonical(rho.apply(a), self.fuel), canonical(rho.apply(b), self.fuel), tg)
                     for a, b, tg in rest + tuple(children)
                 )
-                stack.append((applied, compose(rho, sigma)))
+                stack.append((applied, compose(rho, sigma, self.fuel)))
 
     def _closure(self, E):
         """Apply Deletion, Failure, and Decomposition exhaustively; these
@@ -196,7 +197,7 @@ class _PT:
         rigid_head, targs = spine(tbody)
 
         if self._solution_form(sargs, len(tys)) and F.id not in free_vars(t):
-            rho = Substitution(((F, canonical(t)),))
+            rho = Substitution(((F, canonical(t, self.fuel)),))
             return [(rho, ())]
 
         m = arity(F.ty)
@@ -207,11 +208,11 @@ class _PT:
             g_tys = arg_types(rigid_head.ty)
             fresh = [self.supply.fresh(arrow(f_tys, gt)) for gt in g_tys]
             image = mk_lams(f_tys, mk_app(rigid_head, [mk_app(g, xs) for g in fresh]))
-            rho = Substitution(((F, canonical(image)),))
+            rho = Substitution(((F, canonical(image, self.fuel)),))
             children = tuple(
                 (
-                    canonical(mk_lams(tys, mk_app(g, sargs))),
-                    canonical(mk_lams(tys, ti)),
+                    canonical(mk_lams(tys, mk_app(g, sargs)), self.fuel),
+                    canonical(mk_lams(tys, ti), self.fuel),
                     tag,
                 )
                 for g, ti in zip(fresh, targs)
@@ -227,10 +228,10 @@ class _PT:
             image = mk_lams(
                 f_tys, mk_app(Bound(m - 1 - i, f_tys[i]), [mk_app(g, xs) for g in fresh])
             )
-            rho = Substitution(((F, canonical(image)),))
+            rho = Substitution(((F, canonical(image, self.fuel)),))
             child = (
-                canonical(mk_lams(tys, mk_app(u, [mk_app(g, sargs) for g in fresh]))),
-                canonical(mk_lams(tys, tbody)),
+                canonical(mk_lams(tys, mk_app(u, [mk_app(g, sargs) for g in fresh])), self.fuel),
+                canonical(mk_lams(tys, tbody), self.fuel),
                 tag or not j_tys,
             )
             out.append((rho, (child,)))
@@ -259,8 +260,8 @@ class _PT:
         work = list(residue)
         while work:
             s, t, _tag = work.pop(0)
-            s = canonical(sigma.apply(s))
-            t = canonical(sigma.apply(t))
+            s = canonical(sigma.apply(s), self.fuel)
+            t = canonical(sigma.apply(t), self.fuel)
             if s == t:
                 continue
             tys, sbody = strip_lams(s)
@@ -273,7 +274,7 @@ class _PT:
                 rho = self._same_head_mgu(F, us, vs)
             else:
                 rho = self._diff_head_mgu(tys, F, us, G, vs)
-            sigma = compose(rho, sigma)
+            sigma = compose(rho, sigma, self.fuel)
         return sigma
 
     def _same_head_mgu(self, F: Free, us, vs) -> Substitution:
@@ -282,7 +283,7 @@ class _PT:
         keep = [j for j in range(m) if us[j] == vs[j]]
         fresh = self.supply.fresh(arrow([f_tys[j] for j in keep], result_type(F.ty)))
         body = mk_app(fresh, [Bound(m - 1 - j, f_tys[j]) for j in keep])
-        return Substitution(((F, canonical(mk_lams(f_tys, body))),))
+        return Substitution(((F, canonical(mk_lams(f_tys, body), self.fuel)),))
 
     def _diff_head_mgu(self, tys, F: Free, us, G: Free, vs) -> Substitution:
         """The shared-variable construction: each argument u_i of F is
@@ -297,8 +298,8 @@ class _PT:
         def matcher_bodies(args_other, u):
             H = self.supply.fresh(arrow([type_of(v) for v in args_other], type_of(u)))
             csu = self.matching_csu(
-                canonical(mk_lams(tys, mk_app(H, args_other))),
-                canonical(mk_lams(tys, u)),
+                canonical(mk_lams(tys, mk_app(H, args_other)), self.fuel),
+                canonical(mk_lams(tys, u), self.fuel),
             )
             bodies = []
             for sg in csu:
@@ -307,7 +308,7 @@ class _PT:
                     raise InternalError("matcher left its own variable unbound")
                 # keep the image open under one binder per argument of the
                 # other head; extra binders (for functional u) stay in place
-                i_tys, i_body = strip_lams(canonical(image))
+                i_tys, i_body = strip_lams(canonical(image, self.fuel))
                 bodies.append(mk_lams(i_tys[len(args_other) :], i_body))
             return bodies
 
@@ -327,21 +328,21 @@ class _PT:
         ]
         return Substitution(
             (
-                (F, canonical(mk_lams(f_tys, mk_app(Z, f_args)))),
-                (G, canonical(mk_lams(g_tys, mk_app(Z, g_args)))),
+                (F, canonical(mk_lams(f_tys, mk_app(Z, f_args)), self.fuel)),
+                (G, canonical(mk_lams(g_tys, mk_app(Z, g_args)), self.fuel)),
             )
         )
 
 
 @register("solid")
-def solid_oracle(s: Term, t: Term, supply: FreshSupply):
+def solid_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
     if type_of(s) != type_of(t):
         return NotApplicable()
     if not (is_solid(s) and is_solid(t)):
         return NotApplicable()
     fvs, fvt = free_vars(s), free_vars(t)
     problem_ids = frozenset(fvs) | frozenset(fvt)
-    pt = _PT(supply)
+    pt = _PT(supply, fuel)
     try:
         if fvs.keys() & fvt.keys():
             hs, ht = _flex_head(s), _flex_head(t)
@@ -352,21 +353,23 @@ def solid_oracle(s: Term, t: Term, supply: FreshSupply):
                 and fvs.keys() == fvt.keys() == {hs[0].id}
             ):
                 rho = pt._same_head_mgu(hs[0], hs[1], ht[1])
-                return Success((_checked(rho, s, t, problem_ids),))
+                return Success((_checked(rho, s, t, problem_ids, fuel),))
             return NotApplicable()
         if not (is_linear(s) or is_linear(t)):
             return NotApplicable()
         csu = []
         for sigma, residue in pt.enumerate([(s, t, False)]):
-            full = compose(pt.discharge(residue), sigma)
-            csu.append(_checked(full, s, t, problem_ids))
+            full = compose(pt.discharge(residue), sigma, fuel)
+            csu.append(_checked(full, s, t, problem_ids, fuel))
         return Success(tuple(csu))
     except _GiveUp:
         return NotApplicable()
 
 
-def _checked(sigma: Substitution, s: Term, t: Term, keep: frozenset[int]) -> Substitution:
+def _checked(
+    sigma: Substitution, s: Term, t: Term, keep: frozenset[int], fuel: Fuel
+) -> Substitution:
     out = sigma.restrict(keep)
-    if canonical(out.apply(s)) != canonical(out.apply(t)):
+    if canonical(out.apply(s), fuel) != canonical(out.apply(t), fuel):
         raise InternalError("solid oracle produced a non-unifier")
     return out

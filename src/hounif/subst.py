@@ -9,7 +9,8 @@ is trivially capture-avoiding.
 The engine's state substitution is a `TriangularSubst`: the branch
 substitutions in the order they were applied, with each variable's image
 under their composition resolved on demand by hereditary substitution
-and memoized, instead of an eagerly composed `Substitution`.
+and memoized, instead of an eagerly composed `Substitution`.  Resolution
+and `compose` normalize with the one beta pass, `normalize.hereditary`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import sys
 from typing import Iterable, Iterator, Optional
 
 from .errors import IdempotenceViolation, IllTyped
-from .normalize import ReductionBudget, beta_normal, reduction_fuel
+from .normalize import Fuel, ReductionBudget, beta_normal, hereditary
 from .terms import (
     App,
-    Bound,
-    Const,
     Free,
     Lam,
     PLAIN,
@@ -141,17 +140,18 @@ class Substitution:
 IDENTITY = Substitution()
 
 
-def compose(outer: Substitution, inner: Substitution) -> Substitution:
+def compose(outer: Substitution, inner: Substitution, fuel: Optional[Fuel] = None) -> Substitution:
     """The substitution taking t to outer(inner(t)).
 
-    Images of `inner` get `outer` applied and are beta-normalized;
-    entries of `outer` for variables not mapped by `inner` are kept.
+    Images of `inner` get `outer` applied and are beta-normalized, drawing
+    on `fuel` when it is given; entries of `outer` for variables not
+    mapped by `inner` are kept.
     """
     entries: list[tuple[Free, Term]] = []
     for var, image in inner.items():
         new = outer.apply(image)
         if new is not image:
-            new = beta_normal(new)
+            new = beta_normal(new, fuel)
         entries.append((var, new))
     for var, image in outer.items():
         if var.id not in inner:
@@ -163,8 +163,9 @@ class Overgrown(Exception):
     """A resolved image went past the size, depth or reduction-fuel guard."""
 
 
-#: stack frames per level of term depth allowed for the recursive term
-#: traversals (normalization, eta expansion, type checking): a resolved
+#: stack frames per level of term depth allowed for the term traversals
+#: that still recurse (eta expansion, head normalization's instantiation,
+#: type checking's first visit; beta normalization does not): a resolved
 #: image deeper than the recursion limit divided by this is refused, so
 #: that every image the engine keeps can still be normalized and compared.
 _FRAMES_PER_LEVEL = 4
@@ -197,172 +198,6 @@ def _measure(t: Term) -> tuple[frozenset[int], int, int, bool]:
     return frozenset(fv), count, height, normal
 
 
-#: a term with its size, height and loose-index bound (one more than its
-#: largest loose bound index, 0 when it is closed)
-_Value = tuple[Term, int, int, int]
-
-_EVAL, _SPINE, _WRAP, _REST = range(4)
-
-#: the environment of a plain traversal: no bound variable instantiated,
-#: none shifted
-_PLAIN = ((), 0, None)
-
-
-def _applied(head: _Value, argv: list[_Value], same: Optional[Term] = None) -> _Value:
-    """The value of a neutral head applied to argument values; `same`,
-    when given, is an existing term equal to that application, and then
-    nothing is built."""
-    term, size, height, loose = head
-    i = len(argv)
-    height += i
-    for a, s, h, l in argv:
-        if same is None:
-            term = App(term, a)
-        size += s
-        h += i
-        if h > height:
-            height = h
-        if l > loose:
-            loose = l
-        i -= 1
-    return (term if same is None else same), size, height, loose
-
-
-def _hereditary(t: Term, images: dict[int, _Value], fuel: int) -> tuple[_Value, bool]:
-    """Hereditary substitution (Watkins, Cervesato, Pfenning & Walker, *A
-    Concurrent Logical Framework I*, CMU-CS-02-101): the beta-normal form
-    of t with every variable in `images` replaced by its image, for a
-    beta-normal t and closed beta-normal images.
-
-    Only the redexes the substitution creates are contracted: where a
-    replaced variable, or a bound variable being instantiated, heads a
-    spine, its image is instantiated with the substituted arguments by
-    the same pass, which may in turn create redexes further down.  A
-    subterm nothing touches comes back as the same object.  Every result
-    carries its size and height, so no further walk measures it.
-
-    One fuel unit goes to each spine visited and each contraction; running
-    out raises Overgrown.  Returns t's value and whether every argument a
-    contraction dropped was a bound variable or a constant (if so, no free
-    variable was lost).  Iterative: `todo` holds frames, `out` values.
-
-    A traversal's environment is (vals, k, used): at depth d below its
-    root, a loose index d + j becomes vals[j] shifted by d for j < len(vals),
-    and the index d + j - len(vals) + k otherwise; `used` marks the vals
-    that occurred."""
-    out: list[_Value] = []
-    todo: list = [(_EVAL, t, 0, _PLAIN)]
-    kept = True
-
-    def contract(head: _Value, argv: list[_Value]) -> None:
-        nonlocal fuel
-        fn = head[0]
-        if type(fn) is not Lam:
-            out.append(_applied(head, argv))
-            return
-        fuel -= 1
-        if fuel < 0:
-            raise Overgrown
-        m = 0
-        while m < len(argv) and type(fn) is Lam:
-            fn = fn.body
-            m += 1
-        vals = tuple(argv[m - 1::-1])
-        used = [False] * m
-        todo.append((_REST, argv[m:], vals, used))
-        todo.append((_EVAL, fn, 0, (vals, 0, used)))
-
-    while todo:
-        frame = todo.pop()
-        tag = frame[0]
-        if tag == _EVAL:
-            _, u, d, env = frame
-            fuel -= 1
-            if fuel < 0:
-                raise Overgrown
-            body = u
-            nl = 0
-            while type(body) is Lam:
-                body = body.body
-                nl += 1
-            if nl:
-                todo.append((_WRAP, u, body, nl))
-                d += nl
-            args_rev = []
-            head = body
-            while type(head) is App:
-                args_rev.append(head.arg)
-                head = head.fn
-            new_head = head
-            value = None  # the head's replacement
-            shifted = False
-            cls = type(head)
-            if cls is Free:
-                value = images.get(head.id)
-            elif cls is Bound and head.index >= d:
-                vals, k, used = env
-                j = head.index - d
-                if j < len(vals):
-                    used[j] = True
-                    value = vals[j]
-                    shifted = d > 0 and value[3] > 0
-                elif k != len(vals):
-                    new_head = Bound(head.index - len(vals) + k, head.ty)
-            if args_rev:
-                todo.append((_SPINE, body, head, new_head, value, args_rev, shifted))
-                for a in args_rev:
-                    todo.append((_EVAL, a, d, env))
-            if shifted:  # the instantiated argument, moved under d binders
-                todo.append((_EVAL, value[0], 0, ((), d, None)))
-            elif not args_rev:
-                if value is None:
-                    value = new_head, 1, 0, new_head.index + 1 if cls is Bound else 0
-                out.append(value)
-        elif tag == _SPINE:
-            _, body, head, new_head, value, args_rev, shifted = frame
-            n = len(args_rev)
-            argv = out[-n:]
-            del out[-n:]
-            if shifted:
-                value = out.pop()
-            if value is not None:
-                contract(value, argv)
-                continue
-            same = body if new_head is head else None
-            for a, _, _, _ in argv:
-                n -= 1
-                if a is not args_rev[n]:
-                    same = None
-                    break
-            loose = new_head.index + 1 if type(new_head) is Bound else 0
-            out.append(_applied((new_head, 1, 0, loose), argv, same))
-        elif tag == _WRAP:
-            _, u, body, nl = frame
-            term, size, height, loose = out.pop()
-            if term is body:
-                term = u
-            else:
-                binders = []
-                for _ in range(nl):
-                    binders.append(u.binder)
-                    u = u.body
-                for b in reversed(binders):
-                    term = Lam(b, term)
-            out.append((term, size + nl, height + nl, loose - nl if loose > nl else 0))
-        else:  # _REST: a contraction's body is done
-            _, rest, vals, used = frame
-            if kept and not all(used):
-                kept = all(
-                    hit or type(v[0]) in (Bound, Const) for v, hit in zip(vals, used)
-                )
-            result = out.pop()
-            if rest:
-                contract(result, rest)
-            else:
-                out.append(result)
-    return out[0], kept
-
-
 #: a resolved image: (variable, image, free variable ids of the image)
 _Entry = tuple[Free, Term, frozenset[int]]
 
@@ -384,9 +219,9 @@ class TriangularSubst:
     Images stay beta-normal: a node normalizes an image of its rho that is
     not, and each step down substitutes rho's images into the image by
     hereditary substitution, which contracts only the redexes it creates
-    and measures the result as it builds it.  An image over the size or
-    depth cap, or one that needs more than the reduction fuel, raises
-    Overgrown.
+    and measures the result as it builds it.  Both run the one beta pass
+    on a fresh `Fuel` of the guard's units.  An image over the size or
+    depth cap, or one that needs more than that fuel, raises Overgrown.
     """
 
     __slots__ = ("parent", "rho", "top", "guard", "_memo", "_images")
@@ -403,13 +238,12 @@ class TriangularSubst:
         #: var id -> its resolved entry here, or None if it is unbound here
         self._memo: dict[int, Optional[_Entry]] = {}
         #: var id -> rho's image of it, as a value of the hereditary pass
-        self._images: dict[int, _Value] = {}
+        self._images: dict[int, tuple[Term, int, int, int]] = {}
         for var, image in rho.items():
             fv, size, height, normal = _measure(image)
             if not normal:
                 try:
-                    with reduction_fuel(fuel):
-                        image = beta_normal(image)
+                    image = beta_normal(image, Fuel(fuel))
                 except ReductionBudget:
                     raise Overgrown from None
                 fv, size, height, _ = _measure(image)
@@ -466,7 +300,10 @@ class TriangularSubst:
         if fv.isdisjoint(images):
             return entry
         max_size, fuel, max_depth = self.guard
-        (image, size, height, _), kept = _hereditary(image, images, fuel)
+        try:
+            (image, size, height, _), kept = hereditary(image, images, Fuel(fuel))
+        except ReductionBudget:
+            raise Overgrown from None
         if size > max_size or height > max_depth:
             raise Overgrown
         if kept:  # then the new free variables are exactly these

@@ -252,6 +252,16 @@ def strip_lams(t: Term) -> tuple[list[Type], Term]:
     return tys, t
 
 
+def head_of(t: Term) -> Term:
+    """The head below t's binders: never an App, and a Lam only when it
+    is the abstraction of a redex."""
+    while type(t) is Lam:
+        t = t.body
+    while type(t) is App:
+        t = t.fn
+    return t
+
+
 def mk_lams(tys, body: Term) -> Term:
     for ty in reversed(tuple(tys)):
         body = Lam(ty, body)
@@ -311,19 +321,17 @@ def instantiate(body: Term, arg: Term) -> Term:
 
 def loose_bound_ids(t: Term) -> set[int]:
     out: set[int] = set()
-
-    def go(t: Term, depth: int):
-        match t:
-            case Bound(index=i):
-                if i >= depth:
-                    out.add(i - depth)
-            case App(fn=f, arg=a):
-                go(f, depth)
-                go(a, depth)
-            case Lam(body=u):
-                go(u, depth + 1)
-
-    go(t, 0)
+    stack = [(t, 0)]
+    while stack:
+        u, depth = stack.pop()
+        cls = type(u)
+        if cls is App:
+            stack.append((u.fn, depth))
+            stack.append((u.arg, depth))
+        elif cls is Lam:
+            stack.append((u.body, depth + 1))
+        elif cls is Bound and u.index >= depth:
+            out.add(u.index - depth)
     return out
 
 
@@ -371,13 +379,14 @@ def size_within(t: Term, bound: int) -> bool:
     count = 0
     stack = [t]
     while stack:
-        match stack.pop():
-            case App(fn=f, arg=a):  # the App node itself counts 0
-                stack.append(f)
-                stack.append(a)
-                continue
-            case Lam(body=b):
-                stack.append(b)
+        u = stack.pop()
+        cls = type(u)
+        if cls is App:  # the App node itself counts 0
+            stack.append(u.fn)
+            stack.append(u.arg)
+            continue
+        if cls is Lam:
+            stack.append(u.body)
         count += 1
         if count > bound:
             return False

@@ -29,7 +29,7 @@ from hounif.fingerprint import (
     compatible_unif,
     fp_ho,
 )
-from hounif.normalize import canonical
+from hounif.normalize import Fuel, canonical
 from hounif.oracles import NotApplicable, NotUnifiable, Success
 from hounif.oracles import resolve as _resolve
 from hounif.subst import FreshSupply, Substitution
@@ -87,7 +87,7 @@ def resolve(name):
     """The named oracle, called on a constraint as the engine calls it:
     on both sides in canonical form."""
     oracle = _resolve(name)
-    return lambda lhs, rhs, supply: oracle(canonical(lhs), canonical(rhs), supply)
+    return lambda lhs, rhs, supply: oracle(canonical(lhs), canonical(rhs), supply, Fuel())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import termgen
 from termgen import I, II, III, assert_verifies, gen_pair, make_frees, subst_key
-from hounif import normalize, oracles
+from hounif import engine, normalize, oracles
 from hounif.engine import (
     EngineConfig,
     Limits,
@@ -164,8 +164,8 @@ def test_stepping_never_normalizes_fully(monkeypatch):
     # driving the decompose cascade performs no full normalization pass,
     # independently of the context depth
     calls = []
-    full = normalize._bnf
-    monkeypatch.setattr(normalize, "_bnf", lambda t: calls.append(t) or full(t))
+    full = normalize.hereditary
+    monkeypatch.setattr(normalize, "hereditary", lambda t, *rest: calls.append(t) or full(t, *rest))
     for k in (30, 120):
         F, G = Free(0, II), Free(1, II)
         pairs = [(hpow(k, App(F, a)), hpow(k, App(G, b)))]
@@ -473,9 +473,9 @@ def test_oracle_phase_resolves_each_side_once(monkeypatch):
         calls["apply"] += 1
         return resolve_sides(subst, t)
 
-    def counted_phase(s, t, supply):
+    def counted_phase(s, t, supply, fuel):
         calls["phases"] += 1
-        return first_oracle(s, t, supply)
+        return first_oracle(s, t, supply, fuel)
 
     monkeypatch.setattr(TriangularSubst, "apply", counted_apply)
     monkeypatch.setitem(oracles._REGISTRY, "pattern", counted_phase)
@@ -484,6 +484,57 @@ def test_oracle_phase_resolves_each_side_once(monkeypatch):
     assert st.unifiers(max_pulls=60)
     assert calls["phases"] > 0
     assert calls["apply"] == 2 * calls["phases"]
+
+
+def _occurs_cycle(oracle_names):
+    """The state and search of G =?= f G with the given oracles."""
+    return prepare([(Free(0, I), App(f, Free(0, I)))], EngineConfig(oracles=oracle_names))
+
+
+def test_oracle_phase_out_of_fuel_skips_the_oracles(monkeypatch):
+    state, search = _occurs_cycle(("fixpoint",))
+    assert applicable_rules(state, search) == ["oracle"]
+    monkeypatch.setattr(engine, "_FUEL_FACTOR", 0)  # canonicalization runs out
+    assert applicable_rules(state, search) == ["bind"]
+
+
+def test_oracle_out_of_fuel_falls_through_to_the_next(monkeypatch):
+    calls = []
+
+    def spent(s, t, supply, fuel):
+        calls.append((s, t))
+        raise normalize.ReductionBudget
+
+    monkeypatch.setitem(oracles._REGISTRY, "spent", spent)
+    state, search = _occurs_cycle(("spent", "fixpoint"))
+    rule, _, _ = engine._transition(state, search)
+    assert rule == "oracle_fail" and len(calls) == 1  # fixpoint refuted it
+
+
+def test_oracles_get_what_the_phase_canonicalization_left(monkeypatch):
+    seen = []
+
+    def greedy(s, t, supply, fuel):
+        seen.append(fuel.left)
+        fuel.left = 0  # spends its whole meter, not the next oracle's
+        return oracles.NotApplicable()
+
+    monkeypatch.setitem(oracles._REGISTRY, "greedy", greedy)
+    monkeypatch.setitem(oracles._REGISTRY, "also_greedy", greedy)
+    state, search = _occurs_cycle(("greedy", "also_greedy"))
+    assert applicable_rules(state, search) == ["bind"]
+    (c,) = state.constraints
+    cost = []
+    for side in (c.lhs, c.rhs):
+        meter = normalize.Fuel(1_000)
+        normalize.canonical(side, meter)
+        cost.append(1_000 - meter.left)
+    shared = normalize.Fuel(1_000)
+    normalize.canonical(c.lhs, shared)
+    normalize.canonical(c.rhs, shared)
+    assert min(cost) > 0 and shared.left == 1_000 - sum(cost)
+    phase = engine._FUEL_FACTOR * search.cfg.oracle_size_cap
+    assert seen == [phase - sum(cost)] * 2
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))

@@ -108,8 +108,8 @@ def test_hnf_does_not_count_as_full_pass(monkeypatch):
     rng = random.Random(3)
     t = obfuscate(rng, gen_term(rng, II, depth=3))
     calls = []
-    full = normalize._bnf
-    monkeypatch.setattr(normalize, "_bnf", lambda u: calls.append(u) or full(u))
+    full = normalize.hereditary
+    monkeypatch.setattr(normalize, "hereditary", lambda u, *rest: calls.append(u) or full(u, *rest))
     for _ in range(50):
         hnf(t)
     assert calls == []
@@ -166,3 +166,38 @@ def test_eta_expand_prefix():
     s = f  # no binders at all
     e = eta_expand_prefix(s, 1)
     assert lam_depth(e) == 1 and canonical(e) == canonical(f)
+
+
+# ------------------------------------------------------------------ fuel
+
+
+def _church(n, ty):
+    """The Church numeral n at type (ty -> ty) -> ty -> ty."""
+    body = Bound(0, ty)
+    for _ in range(n):
+        body = App(Bound(1, termgen.arrow([ty], ty)), body)
+    return Lam(termgen.arrow([ty], ty), Lam(ty, body))
+
+
+def test_church_blow_up_runs_out_of_small_fuel():
+    # 3 applied to 4 (as numerals over i -> i and i) is 4^3 = 64: a term
+    # of 20 nodes whose normal form applies f 64 times
+    t = mk_app(_church(3, II), [_church(4, I), f, a])
+    with pytest.raises(normalize.ReductionBudget):
+        beta_normal(t, normalize.Fuel(50))
+    meter = normalize.Fuel(50)
+    with pytest.raises(normalize.ReductionBudget):
+        canonical(t, meter)
+    assert meter.left < 0
+    assert beta_normal(t) == beta_normal(t, normalize.Fuel()) == nbe(t, I)
+
+
+def test_beta_normal_of_deep_term_at_default_recursion_limit():
+    # (\y. f^5000 ((\x. g x y) a)) b: a redex at the head and one at the bottom
+    depth = 5000
+    t = App(Lam(I, mk_app(g, [Bound(0, I), Bound(1, I)])), a)
+    want = mk_app(g, [a, Const("b", I)])
+    for _ in range(depth):
+        t, want = App(f, t), App(f, want)
+    t = App(Lam(I, t), Const("b", I))
+    assert beta_normal(t) == want

@@ -26,7 +26,7 @@ from hounif.oracles import (
 from hounif.oracles.pattern import is_pattern, unify_patterns
 from hounif.oracles import solid as solid_mod
 from hounif.oracles.solid import is_linear, is_solid
-from hounif.normalize import canonical
+from hounif.normalize import Fuel, canonical
 from hounif.subst import FreshSupply, Substitution
 from hounif.terms import (
     App,
@@ -56,7 +56,7 @@ def _as_the_engine_calls(oracle):
 
     def call(lhs, rhs, context):
         subst, supply = context
-        return oracle(canonical(subst.apply(lhs)), canonical(subst.apply(rhs)), supply)
+        return oracle(canonical(subst.apply(lhs)), canonical(subst.apply(rhs)), supply, Fuel())
 
     return call
 

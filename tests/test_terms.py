@@ -7,6 +7,7 @@ import pytest
 
 import termgen
 from termgen import I, II, III, gen_sized, make_frees
+from hounif.engine import signature_types
 from hounif.errors import IllTyped
 from hounif.terms import (
     App,
@@ -19,6 +20,7 @@ from hounif.terms import (
     arity,
     arrow,
     free_vars,
+    head_of,
     instantiate,
     is_closed,
     lam_depth,
@@ -28,6 +30,7 @@ from hounif.terms import (
     result_type,
     shift,
     size,
+    size_within,
     spine,
     strip_lams,
     term_key,
@@ -236,6 +239,53 @@ def test_free_vars_matches_recursive_reference():
         want = _free_vars_reference(t)
         got = free_vars(t)
         assert list(got.items()) == list(want.items())  # first-occurrence order
+
+
+def _loose_reference(t, depth=0):
+    if isinstance(t, Bound):
+        return {t.index - depth} if t.index >= depth else set()
+    if isinstance(t, App):
+        return _loose_reference(t.fn, depth) | _loose_reference(t.arg, depth)
+    if isinstance(t, Lam):
+        return _loose_reference(t.body, depth + 1)
+    return set()
+
+
+def _types_reference(t, out):
+    def add(ty):
+        out.add(ty)
+        if isinstance(ty, Arrow):
+            add(ty.dom)
+            add(ty.cod)
+
+    if isinstance(t, App):
+        _types_reference(t.fn, out)
+        _types_reference(t.arg, out)
+    elif isinstance(t, Lam):
+        add(t.binder)
+        _types_reference(t.body, out)
+    else:
+        add(t.ty)
+    return out
+
+
+def test_walkers_match_recursive_references():
+    # closed terms, their open bodies and arguments, and redexes over them
+    rng = random.Random(29)
+    frees = make_frees(rng, 4, 70)
+    for _ in range(300):
+        t = gen_sized(rng, termgen.rand_type(rng), frees=frees, max_size=14)
+        _, body = strip_lams(t)
+        _, args = spine(body)
+        redex = App(Lam(I, shift(body, 1)), a)
+        for u in (t, body, redex, Lam(I, redex), *args):
+            assert head_of(u) == spine(strip_lams(u)[1])[0]
+            assert loose_bound_ids(u) == _loose_reference(u)
+            n = size(u)
+            assert size_within(u, n) and not size_within(u, n - 1)
+        want = _types_reference(body, _types_reference(t, set()))
+        assert set(signature_types([t, body])) == want
+    assert head_of(Lam(I, redex)) == Lam(I, shift(body, 1))
 
 
 def test_free_vars_at_depth_5000():
