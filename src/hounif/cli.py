@@ -190,8 +190,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser, eta expansion, head normalization and type checking
-        # recurse once per level of term nesting; beta normalization does not
+        # the parser, head normalization and type checking recurse once
+        # per level of term nesting; beta normalization and eta expansion
+        # do not
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

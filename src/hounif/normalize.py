@@ -17,6 +17,7 @@ from typing import Optional
 from .errors import TypeMismatch
 from .terms import (
     App,
+    Arrow,
     Bound,
     Const,
     Free,
@@ -262,25 +263,96 @@ def beta_normal(t: Term, fuel: Optional[Fuel] = None) -> Term:
     return hereditary(t, {}, Fuel() if fuel is None else fuel)[0][0]
 
 
+def eta_index(j: int, env) -> int:
+    """The index that bound variable j of a beta-normal spine takes in the
+    eta-long image.
+
+    `env` is the chain (n, k, outer) of the levels from the spine outward:
+    a level has n written binders, and k more binders inside them in its
+    image; a level where both are 0 may be left out, and None ends the
+    chain.  Past the chain, j is a loose index of the whole term, which
+    the image keeps."""
+    passed = 0  # image binders of the levels left behind
+    while env is not None:
+        n, k, env = env
+        if j < n:
+            return j + k + passed
+        passed += n + k
+        j -= n
+    return j + passed
+
+
 def eta_long(t: Term, fuel: Optional[Fuel] = None) -> Term:
     """Fully eta-expand a beta-normal term.
 
     Every subterm of functional type becomes an explicit abstraction and
-    every head is applied to as many arguments as its type allows.
-    """
-    if fuel is not None:
-        fuel.spend()
-    if type(t) is Lam:
-        return Lam(t.binder, eta_long(t.body, fuel))
-    head, args = spine(t)
-    args = [eta_long(a, fuel) for a in args]
-    extra = arg_types(type_of(t))
-    if not extra:
-        return mk_app(head, args)
-    k = len(extra)
-    shifted = [shift(a, k) for a in args]
-    news = [eta_long(Bound(k - 1 - i, extra[i]), fuel) for i in range(k)]
-    return mk_lams(extra, mk_app(shift(head, k), shifted + news))
+    every head is applied to as many arguments as its type allows.  A
+    subterm already in that form comes back as the same object; one
+    headed by a redex is beta-normalized first.
+
+    Iterative: `todo` holds (subterm, env) visits and the build of each
+    visited spine, `out` the finished subterms.  A spine's bound
+    variables are renumbered by `eta_index` as it is visited, so nothing
+    is shifted after it is built."""
+    out: list[Term] = []
+    todo: list = [(t, None)]
+    while todo:
+        frame = todo.pop()
+        if len(frame) == 2:
+            u, env = frame
+            body = u
+            n = 0
+            while type(body) is Lam:
+                body = body.body
+                n += 1
+            if fuel is not None:
+                for _ in range(n + 1):
+                    fuel.spend()
+            args_rev = []
+            head = body
+            while type(head) is App:
+                args_rev.append(head.arg)
+                head = head.fn
+            if type(head) is Lam:  # a redex: normalize this spine, then visit it again
+                todo.append((beta_normal(u, fuel), env))
+                continue
+            ty = type_of(body)
+            extra = arg_types(ty) if type(ty) is Arrow else ()
+            k = len(extra)
+            if n or k:
+                env = (n, k, env)
+            new_head = head
+            if type(head) is Bound and env is not None:
+                i = eta_index(head.index, env)
+                if i != head.index:
+                    new_head = Bound(i, head.ty)
+            if not args_rev and not k and new_head is head:
+                out.append(u)
+                continue
+            todo.append((u, n, new_head, args_rev, extra))
+            for q in range(k - 1, -1, -1):
+                todo.append((Bound(k - 1 - q, extra[q]), None))
+            todo.extend((a, env) for a in args_rev)
+        else:
+            u, n, head, args_rev, extra = frame
+            m = len(args_rev) + len(extra)
+            done = out[len(out) - m:]
+            del out[len(out) - m:]
+            if not extra and head is head_of(u):
+                i = len(args_rev)
+                for x in done:
+                    i -= 1
+                    if x is not args_rev[i]:
+                        break
+                else:
+                    out.append(u)
+                    continue
+            binders = []
+            for _ in range(n):
+                binders.append(u.binder)
+                u = u.body
+            out.append(mk_lams(binders + list(extra), mk_app(head, done)))
+    return out[0]
 
 
 def canonical(t: Term, fuel: Optional[Fuel] = None) -> Term:

@@ -233,6 +233,15 @@ def test_tower_600_solves():
     assert st.status == "exhausted"
 
 
+def test_tower_800_unifier_verifies_at_default_recursion_limit():
+    # solve finds it; verifying it canonicalizes both 800-deep sides
+    X = Free(0, I)
+    pairs = [(hpow(800, a), hpow(800, X))]
+    got = solve(pairs, EngineConfig()).unifiers(limit=1)
+    assert len(got) == 1 and got[0].apply(X) == a
+    assert verify_unifier(pairs, got[0])
+
+
 def _stream_record(pairs, cfg, problem_vars, max_pulls=300):
     """A stream pulled until it ends or reaches `max_pulls`, as (the
     "pull:subst_key" line of each unifier, pulls, status, stats); every

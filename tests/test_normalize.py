@@ -150,6 +150,15 @@ def test_eta_long_golden():
     assert eta_long(f) == Lam(I, App(f, Bound(0, I)))
     # g a  ==>  \x. g a x
     assert eta_long(App(g, a)) == Lam(I, mk_app(g, [a, Bound(0, I)]))
+    # \x. h (g (f x))  ==>  \x. h (\y. g (f x) y): x is renumbered under y
+    h = Const("h", termgen.arrow([II], I))
+    t = Lam(I, App(h, App(g, App(f, Bound(0, I)))))
+    want = Lam(I, App(h, Lam(I, mk_app(g, [App(f, Bound(1, I)), Bound(0, I)]))))
+    assert eta_long(t) == want
+    # \x. (\y. g y) x is not beta-normal: that spine is normalized first,
+    # so its loose x is renumbered under the added binder
+    t = Lam(I, App(Lam(I, App(g, Bound(0, I))), Bound(0, I)))
+    assert eta_long(t) == canonical(t) == Lam(I, Lam(I, mk_app(g, [Bound(1, I), Bound(0, I)])))
 
 
 def test_eta_expand_prefix():
@@ -201,3 +210,18 @@ def test_beta_normal_of_deep_term_at_default_recursion_limit():
         t, want = App(f, t), App(f, want)
     t = App(Lam(I, t), Const("b", I))
     assert beta_normal(t) == want
+
+
+
+def test_eta_long_of_deep_term_at_default_recursion_limit():
+    # f^3000 (h g) with h : (i -> i -> i) -> i: g is expanded under 3000
+    # levels.  Each level is typed as it is built, so the recursive first
+    # visit of type_of stays shallow and only eta_long's own depth counts.
+    h = Const("h", termgen.arrow([termgen.III], I))
+    deep = App(h, g)
+    want = App(h, Lam(I, Lam(I, mk_app(g, [Bound(1, I), Bound(0, I)]))))
+    for _ in range(3000):
+        deep, want = App(f, deep), App(f, want)
+        type_of(deep), type_of(want)
+    assert eta_long(deep) == want
+    assert eta_long(want) is want  # already eta-long: the same object
