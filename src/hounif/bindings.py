@@ -13,16 +13,13 @@ from dataclasses import dataclass
 
 from .subst import FreshSupply, Substitution
 from .terms import (
-    Arrow,
     Bound,
     Const,
     ELIMINATION,
     Free,
     IDENTIFICATION,
     Term,
-    Type,
     arg_types,
-    arity,
     arrow,
     bvars,
     mk_app,

@@ -17,11 +17,14 @@ One step applies the first applicable transition, in this order:
     cutoff, and finally decompose and/or branch on bindings.
 
 `_transition` is the one place that decides which transition applies;
-`step` applies it.  Both variants draw their bindings from one
-generator, `_candidates`; the pragmatic variant takes a finite subset on
-flex-flex pairs and keeps the bindings within its per-constraint limits.
-When the limits drop every binding, its cutoff solves a flex-flex pair
-by a shared fresh head and fails a flex-rigid one.
+`step` applies it.  It reads each side's binder prefix, head and arguments
+from the view the constraint took of it once, when it was built.  Both
+variants draw their bindings from one generator, `_candidates`; the
+pragmatic variant takes a finite subset on flex-flex pairs and keeps the
+bindings within its per-constraint limits.  When the limits drop every
+binding, its cutoff solves a flex-flex pair by a shared fresh head and
+fails a flex-rigid one.  The signature types that iteration bindings
+range over are computed when the first of them is built.
 
 Terms are never normalized beyond what head classification needs.  An
 image a binding touched is kept beta-normal by hereditary substitution,
@@ -40,7 +43,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import oracles as _oracles
@@ -54,14 +58,13 @@ from .bindings import (
     jp_projection,
 )
 from .errors import InternalError, TypeMismatch
-from .normalize import Fuel, ReductionBudget, canonical, eta_expand_prefix, hnf, is_hnf
+from .normalize import Fuel, ReductionBudget, canonical, eta_expand_prefix, hnf
 from .oracles import NotApplicable, NotUnifiable, Success
 from .subst import FreshSupply, Overgrown, Substitution, TriangularSubst
 from .subst import compose  # noqa: F401  (perfbench/tracer.py wraps engine.compose)
 from .terms import (
     App,
     Arrow,
-    Base,
     Bound,
     Const,
     ELIMINATION,
@@ -72,10 +75,8 @@ from .terms import (
     Type,
     arg_types,
     arity,
-    arrow,
     free_vars,
     head_of,
-    lam_depth,
     mk_app,
     mk_lams,
     result_type,
@@ -135,10 +136,20 @@ class Limits:
         return cls(*parts)
 
 
+def _view(t: Term) -> tuple[list[Type], Term, list[Term]]:
+    """(binder types, head, arguments) of t, as `strip_lams` and `spine` give them."""
+    tys, body = strip_lams(t)
+    head, args = spine(body)
+    return tys, head, args
+
+
 @dataclass(frozen=True)
 class Constraint:
     """An unordered pair of terms of equal type; `seq` is the insertion
     sequence number used to break selection ties.
+
+    `lview` and `rview` hold the sides' views (see `_view`); they are not
+    fields, so equality and `replace` see only the four fields.
 
     `make` puts a pair in the canonical orientation (`term_order`), except
     a rigid pair: one whose sides have equally long binder prefixes and
@@ -153,14 +164,19 @@ class Constraint:
     seq: int
     counters: Counters = Counters()
 
+    def __post_init__(self):
+        object.__setattr__(self, "lview", _view(self.lhs))
+        object.__setattr__(self, "rview", _view(self.rhs))
+
     @staticmethod
     def make(s: Term, t: Term, seq: int, counters: Counters = Counters()) -> "Constraint":
         ts, tt = type_of(s), type_of(t)
-        if ts != tt:
+        if ts is not tt and ts != tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
-        if not _rigid_pair(s, t) and term_order(s, t) > 0:
-            s, t = t, s
-        return Constraint(s, t, seq, counters)
+        c = Constraint(s, t, seq, counters)
+        (stys, hs, _), (ttys, ht, _) = c.lview, c.rview
+        rigid = len(stys) == len(ttys) and type(hs) in (Const, Bound) and type(ht) in (Const, Bound)
+        return c if rigid or term_order(s, t) <= 0 else Constraint(t, s, seq, counters)
 
     def with_sides(self, s: Term, t: Term) -> "Constraint":
         return Constraint(s, t, self.seq, self.counters)
@@ -190,10 +206,10 @@ class EngineConfig:
     #: nodes is abandoned (and the truncation reported as a budget stop);
     #: bindings that duplicate arguments can otherwise double the state size
     #: on every transition, making a single step arbitrarily expensive.
-    #: The same stop applies to a resolved image deeper than the traversals
-    #: that still recurse (eta expansion, type checking) allow at the
-    #: interpreter's recursion limit, or one whose beta normalization needs
-    #: more than `_FUEL_FACTOR` reduction units per node of this cap.
+    #: The same stop applies to a resolved image deeper than head
+    #: normalization's `instantiate` and `shift`, which still recurse, allow
+    #: at the interpreter's recursion limit, or one whose beta normalization
+    #: needs more than `_FUEL_FACTOR` reduction units per node of this cap.
     max_image_size: int = 2_000
     #: constraints larger than this skip the oracle phase (oracles have to
     #: fully normalize both sides up front, which is the one place a huge
@@ -219,19 +235,15 @@ class StepResult:
 
 
 class Search:
-    """Mutable context shared by every branch of one solver call."""
+    """Mutable context shared by every branch of one solver call on the
+    problem whose constraint sides are `terms`."""
 
-    def __init__(
-        self,
-        cfg: EngineConfig,
-        supply: FreshSupply,
-        problem_ids: frozenset[int],
-        sig_types: tuple[Type, ...],
-    ):
+    def __init__(self, cfg: EngineConfig, terms: list[Term]):
         self.cfg = cfg
-        self.supply = supply
-        self.problem_ids = problem_ids
-        self.sig_types = sig_types
+        self.terms = terms
+        self.problem_ids = frozenset(i for t in terms for i in free_vars(t))
+        self.supply = FreshSupply()
+        self.supply.reserve_ids(self.problem_ids)
         self.steps_left = cfg.max_steps
         self.budget_hit = False
         self.stats: dict[str, int] = {}
@@ -243,40 +255,35 @@ class Search:
         self.steps_left -= 1
         self.stats[rule] = self.stats.get(rule, 0) + 1
 
+    @cached_property
+    def sig_types(self) -> tuple[Type, ...]:
+        """The signature types of the problem's terms, computed when the
+        first iteration binding reads them; most searches never do."""
+        return signature_types(self.terms)
+
 
 # ----------------------------------------------------------- head analysis
 
 
-def _rigid_pair(s: Term, t: Term) -> bool:
-    """Equally long binder prefixes, and a constant or bound head on each
-    side."""
-    return (
-        lam_depth(s) == lam_depth(t)
-        and type(head_of(s)) in (Const, Bound)
-        and type(head_of(t)) in (Const, Bound)
-    )
-
-
-def side_is_flex(t: Term, subst: TriangularSubst) -> bool:
+def head_is_flex(head: Term, subst: TriangularSubst) -> bool:
     """Head classification through the resolved image of a substituted
     head, with no normalization; a redex head counts as rigid (it will
     resolve soon)."""
-    head = head_of(t)
-    if isinstance(head, Free):
+    if type(head) is Free:
         image = subst.image_of(head.id)
-        if image is None:
-            return True
-        return isinstance(head_of(image), Free)
+        return image is None or type(head_of(image)) is Free
     return False
 
 
 def rank(c: Constraint, subst: TriangularSubst) -> int:
-    return side_is_flex(c.lhs, subst) + side_is_flex(c.rhs, subst)
+    return head_is_flex(c.lview[1], subst) + head_is_flex(c.rview[1], subst)
 
 
 def select(constraints: tuple[Constraint, ...], subst: TriangularSubst) -> Constraint:
     """Pick the constraint to work on: rigid-rigid first, then flex-rigid,
     then flex-flex; ties go to the oldest (lowest sequence number)."""
+    if len(constraints) == 1:
+        return constraints[0]
     return min(constraints, key=lambda c: (rank(c, subst), c.seq))
 
 
@@ -448,7 +455,7 @@ def _within_limits(
 def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
     """{F -> \\xbar. H, G -> \\ybar. H}: collapse a flex-flex pair whose
     binding budget is spent onto a shared fresh head."""
-    hl, hr = head_of(c.lhs), head_of(c.rhs)
+    hl, hr = c.lview[1], c.rview[1]
     H = supply.fresh(result_type(hl.ty))
     entries = [(hl, mk_lams(arg_types(hl.ty), H))]
     if hr.id != hl.id:
@@ -457,15 +464,6 @@ def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
 
 
 # ------------------------------------------------------------------- step
-
-
-def _aligned_views(s: Term, t: Term):
-    tys, sbody = strip_lams(s)
-    tys2, tbody = strip_lams(t)
-    assert len(tys) == len(tys2)
-    hs, sargs = spine(sbody)
-    ht, targs = spine(tbody)
-    return tys, hs, sargs, ht, targs
 
 
 #: reduction-fuel headroom per node of the relevant size cap: normalizing
@@ -491,7 +489,8 @@ def _oracle_sized(s: Term, t: Term, cfg: EngineConfig) -> bool:
 
 
 def _decomposed(c: Constraint, state: UnifState) -> UnifState:
-    tys, hs, sargs, ht, targs = _aligned_views(c.lhs, c.rhs)
+    tys, _, sargs = c.lview
+    targs = c.rview[2]
     if len(sargs) != len(targs):
         raise InternalError("equal heads with unequal argument counts")
     rest = list(state.without(c))
@@ -534,9 +533,10 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
 
     c = select(state.constraints, subst)
     s, t = c.lhs, c.rhs
+    (stys, hs, _), (ttys, ht, _) = c.lview, c.rview
 
     # align binder prefixes (alpha is implicit in de Bruijn representation)
-    m, n = lam_depth(s), lam_depth(t)
+    m, n = len(stys), len(ttys)
     if m != n:
         target = max(m, n)
         return "normalize_eta", c, c.with_sides(
@@ -544,24 +544,21 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
         )
 
     # expose both heads
-    if not (is_hnf(s) and is_hnf(t)):
+    if type(hs) is Lam or type(ht) is Lam:
         return "normalize_beta", c, c.with_sides(hnf(s), hnf(t))
 
     # replace a substituted head
-    for which, side in (("lhs", s), ("rhs", t)):
-        tys, body = strip_lams(side)
-        head, args = spine(body)
-        if isinstance(head, Free):
+    for which, (tys, head, args) in (("lhs", c.lview), ("rhs", c.rview)):
+        if type(head) is Free:
             image = subst.image_of(head.id)
             if image is not None:
                 new_side = mk_lams(tys, mk_app(image, args))
                 c2 = c.with_sides(new_side, t) if which == "lhs" else c.with_sides(s, new_side)
                 return "dereference", c, c2
 
-    _, hs, _, ht, _ = _aligned_views(s, t)
-    flex_l, flex_r = isinstance(hs, Free), isinstance(ht, Free)
+    flex_l, flex_r = type(hs) is Free, type(ht) is Free
     if not flex_l and not flex_r:
-        if hs != ht:
+        if hs is not ht and hs != ht:
             return "fail", c, None
         # hashes are memoized per node, so along a cascade of decomposes
         # each node is hashed once and each layer's check costs O(1)
@@ -712,15 +709,7 @@ class UnifierStream:
 
 def prepare(pairs, cfg: EngineConfig) -> tuple[UnifState, Search]:
     """Build the root state and search context for a list of (s, t) pairs."""
-    ids: set[int] = set()
-    all_terms = []
-    for s, t in pairs:
-        ids |= free_vars(s).keys()
-        ids |= free_vars(t).keys()
-        all_terms += [s, t]
-    supply = FreshSupply()
-    supply.reserve_ids(ids)
-    search = Search(cfg, supply, frozenset(ids), signature_types(all_terms))
+    search = Search(cfg, [u for pair in pairs for u in pair])
     constraints = tuple(
         Constraint.make(s, t, seq) for seq, (s, t) in enumerate(pairs)
     )

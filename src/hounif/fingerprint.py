@@ -34,7 +34,7 @@ as long as no insert runs at the same time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 from .errors import ParseError
 from .normalize import beta_normal, canonical, eta_index

@@ -58,11 +58,6 @@ class Fuel:
             raise ReductionBudget
 
 
-def is_hnf(t: Term) -> bool:
-    """lambda x1...xn. a t1...tm with a not an abstraction."""
-    return type(head_of(t)) is not Lam
-
-
 def hnf(t: Term) -> Term:
     """Reduce the leftmost outermost redex until the head is exposed.
 

@@ -164,10 +164,10 @@ class Overgrown(Exception):
 
 
 #: stack frames per level of term depth allowed for the term traversals
-#: that still recurse (eta expansion, head normalization's instantiation,
-#: type checking's first visit; beta normalization does not): a resolved
-#: image deeper than the recursion limit divided by this is refused, so
-#: that every image the engine keeps can still be normalized and compared.
+#: that still recurse (head normalization's `instantiate` and `shift`): a
+#: resolved image deeper than the recursion limit divided by this is
+#: refused, so that every image the engine keeps can still be
+#: head-normalized.
 _FRAMES_PER_LEVEL = 4
 
 

@@ -231,7 +231,7 @@ Term = Union[Free, Bound, Const, App, Lam]
 def spine(t: Term) -> tuple[Term, list[Term]]:
     """Split into (head, arguments): head is never an App."""
     args: list[Term] = []
-    while isinstance(t, App):
+    while type(t) is App:
         args.append(t.arg)
         t = t.fn
     args.reverse()
@@ -246,7 +246,7 @@ def mk_app(head: Term, args) -> Term:
 
 def strip_lams(t: Term) -> tuple[list[Type], Term]:
     tys: list[Type] = []
-    while isinstance(t, Lam):
+    while type(t) is Lam:
         tys.append(t.binder)
         t = t.body
     return tys, t
@@ -400,6 +400,10 @@ def type_of(t: Term) -> Type:
     is memoized on the node once its check has passed, so a later call
     costs O(1) and an ill-typed node raises on every call.
 
+    The nodes below `t` with no memo yet are typed by an explicit walk
+    that finishes a node once its children are typed (a function before
+    its argument, as the checks read them), so no call recurses.
+
     Dispatches on the exact class rather than with `match`: class patterns
     cost more than the whole lookup on a leaf or a memoized node.
     """
@@ -412,32 +416,45 @@ def type_of(t: Term) -> Type:
         return t.ty
     else:
         raise IllTyped(f"not a term: {t!r}")
-    if cls is Lam:
-        ty = Arrow(t.binder, type_of(t.body))
-    else:
-        tf = type_of(t.fn)
-        if not isinstance(tf, Arrow):
-            raise IllTyped(f"application of a base-type term: {t.fn!r}")
-        ta = type_of(t.arg)
-        if tf.dom != ta:
-            raise IllTyped(
-                f"argument type {ta!r} does not match expected {tf.dom!r}"
-            )
-        ty = tf.cod
-    object.__setattr__(t, "_ty", ty)
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        if type(u) is Lam:
+            v = u.body
+            ty = getattr(v, "_ty", None) if type(v) in _NODES else _leaf_type(v)
+            if ty is None:
+                todo.append(v)
+                continue
+            ty = Arrow(u.binder, ty)
+        else:
+            v = u.fn
+            tf = getattr(v, "_ty", None) if type(v) in _NODES else _leaf_type(v)
+            if tf is None:
+                todo.append(v)
+                continue
+            if type(tf) is not Arrow:
+                raise IllTyped(f"application of a base-type term: {v!r}")
+            v = u.arg
+            ta = getattr(v, "_ty", None) if type(v) in _NODES else _leaf_type(v)
+            if ta is None:
+                todo.append(v)
+                continue
+            if tf.dom is not ta and tf.dom != ta:
+                raise IllTyped(f"argument type {ta!r} does not match expected {tf.dom!r}")
+            ty = tf.cod
+        object.__setattr__(u, "_ty", ty)
+        todo.pop()
     return ty
 
 
-def is_beta_normal(t: Term) -> bool:
-    match t:
-        case App(fn=f, arg=a):
-            if isinstance(f, Lam):
-                return False
-            return is_beta_normal(f) and is_beta_normal(a)
-        case Lam(body=u):
-            return is_beta_normal(u)
-        case _:
-            return True
+_NODES = (App, Lam)
+
+
+def _leaf_type(t: Term) -> Type:
+    """The type a variable or constant carries."""
+    if type(t) in (Free, Bound, Const):
+        return t.ty
+    raise IllTyped(f"not a term: {t!r}")
 
 
 # ----------------------------------------------------------- determinism

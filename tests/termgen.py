@@ -195,6 +195,20 @@ def gen_pair(rng, mode="any", frees_l=(), frees_r=None, max_size=8, depth=3):
 # --------------------------------------------- independent normalization
 
 
+def is_beta_normal(t: Term) -> bool:
+    """No subterm is a beta redex."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, App):
+            if isinstance(u.fn, Lam):
+                return False
+            stack += [u.fn, u.arg]
+        elif isinstance(u, Lam):
+            stack.append(u.body)
+    return True
+
+
 def nbe(t: Term, ty: Type | None = None) -> Term:
     """Beta-eta normal form by evaluation and type-directed readback.
 

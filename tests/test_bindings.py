@@ -3,7 +3,7 @@
 import random
 
 import termgen
-from termgen import I, II, III
+from termgen import I, II, III, is_beta_normal
 from hounif.normalize import canonical
 from hounif.subst import FreshSupply
 from hounif.terms import (
@@ -18,7 +18,6 @@ from hounif.terms import (
     arg_types,
     arrow,
     free_vars,
-    is_beta_normal,
     is_closed,
     mk_app,
     mk_lams,

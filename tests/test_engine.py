@@ -24,6 +24,7 @@ from hounif.problem_io import parse_problem
 from hounif.subst import Substitution, TriangularSubst
 from hounif.terms import (
     App,
+    Bound,
     Const,
     Free,
     Lam,
@@ -32,6 +33,8 @@ from hounif.terms import (
     free_vars,
     mk_app,
     mk_lams,
+    spine,
+    strip_lams,
 )
 
 a = Const("a", I)
@@ -242,6 +245,18 @@ def test_tower_800_unifier_verifies_at_default_recursion_limit():
     assert verify_unifier(pairs, got[0])
 
 
+def test_tower_5000_solves_and_verifies_at_default_recursion_limit():
+    # typing, orienting, decomposing and verifying never recurse per layer
+    X, F, G = Free(0, I), Free(1, II), Free(2, II)
+    for pairs in (
+        [(hpow(5000, a), hpow(5000, X))],
+        [(hpow(5000, App(F, a)), hpow(5000, App(G, b)))],
+    ):
+        got = solve(pairs, EngineConfig()).unifiers(limit=1)
+        assert len(got) == 1 and verify_unifier(pairs, got[0])
+    assert got[0].apply(F) != F
+
+
 def _stream_record(pairs, cfg, problem_vars, max_pulls=300):
     """A stream pulled until it ends or reaches `max_pulls`, as (the
     "pull:subst_key" line of each unifier, pulls, status, stats); every
@@ -289,23 +304,32 @@ def _expected_step_rules(names):
     return {first}
 
 
-def _assert_step_applies_first_rule(state, search, max_visits):
-    """Walk the states reachable from `state`, checking at each that step()
-    applies the first transition applicable_rules() names."""
+def _reachable_steps(state, search, max_visits):
+    """Walk the states reachable from `state` (at most `max_visits`, and
+    four children per branch point), yielding each state with the rules
+    applicable_rules() names at it and the result of step() on it."""
     todo = [state]
     visited = 0
     while todo and visited < max_visits:
         st = todo.pop()
         visited += 1
-        expected = _expected_step_rules(applicable_rules(st, search))
+        names = applicable_rules(st, search)
         res = step(st, search)
-        assert res.rule in expected, (res.rule, expected)
+        yield st, names, res
         if res.kind != "children":
             continue
         if isinstance(res.states, tuple):
             todo.extend(res.states)
         else:
             todo.extend(itertools.islice(res.states, 4))
+
+
+def _assert_step_applies_first_rule(state, search, max_visits):
+    """Check at each state reachable from `state` that step() applies the
+    first transition applicable_rules() names."""
+    for _, names, res in _reachable_steps(state, search, max_visits):
+        expected = _expected_step_rules(names)
+        assert res.rule in expected, (res.rule, expected)
 
 
 PRECEDENCE_CONFIGS = (
@@ -326,6 +350,84 @@ def test_rule_precedence_instrumented():
         cfg = PRECEDENCE_CONFIGS[trial % len(PRECEDENCE_CONFIGS)]
         state, search = prepare(pairs, cfg)
         _assert_step_applies_first_rule(state, search, 120)
+
+
+def _side_view(t):
+    tys, body = strip_lams(t)
+    return (tys, *spine(body))
+
+
+def test_constraint_views_match_their_sides():
+    """Every constraint of every state reachable from seeded problems
+    carries the views strip_lams and spine give of its sides."""
+    rng = random.Random(43)
+    checked = 0
+    for trial in range(40):
+        frees = make_frees(rng, 3, 10)
+        pairs = [gen_pair(rng, mode="any", frees_l=frees, max_size=7)]
+        cfg = PRECEDENCE_CONFIGS[trial % len(PRECEDENCE_CONFIGS)]
+        state, search = prepare(pairs, cfg)
+        for st, _, _ in _reachable_steps(state, search, 120):
+            for c in st.constraints:
+                assert c.lview == _side_view(c.lhs), c
+                assert c.rview == _side_view(c.rhs), c
+                checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize(
+    "pair, rule",
+    [
+        ((hpow(3, a), hpow(3, b)), "branch"),
+        ((App(f, a), App(h, a)), "fail"),
+        ((hpow(3, a), hpow(3, a)), "delete"),
+        ((Lam(I, App(f, Bound(0, I))), Lam(I, App(h, Bound(0, I)))), "fail"),
+    ],
+    ids=["decompose", "clash", "delete", "bound-prefix"],
+)
+def test_transition_on_rigid_pair_walks_no_side(monkeypatch, pair, rule):
+    # the selected constraint's views answer every question a rigid pair
+    # raises, so no side's prefix or spine is taken again
+    state, search = prepare([pair], NO_ORACLES)
+
+    def walked(*args):
+        raise AssertionError("a constraint side was walked again")
+
+    monkeypatch.setattr(engine, "spine", walked)
+    monkeypatch.setattr(engine, "strip_lams", walked)
+    assert engine._transition(state, search)[0] == rule
+
+
+def _signature_types_calls(monkeypatch, problems):
+    calls = 0
+    real = engine.signature_types
+
+    def counting(terms):
+        nonlocal calls
+        calls += 1
+        return real(terms)
+
+    monkeypatch.setattr(engine, "signature_types", counting)
+    for pairs, cfg in problems:
+        assert solve(pairs, cfg).unifiers(max_pulls=300)
+    return calls
+
+
+def test_signature_types_computed_at_first_iteration_only(monkeypatch):
+    # only iteration bindings read the signature types, so towers and
+    # deep_context never compute them, and criterion 10's stream (complete,
+    # no oracles, 300 pulls) computes them once however often it reads
+    X, F, G = Free(0, I), Free(1, II), Free(2, II)
+    deep = parse_problem((DEMO_PROBLEMS / "deep_context.hou").read_text())
+    no_iteration = [
+        ([(hpow(50, a), hpow(50, X))], EngineConfig()),
+        ([(hpow(50, App(F, a)), hpow(50, App(G, b)))], EngineConfig()),
+        (list(deep.goals), EngineConfig()),
+    ]
+    assert _signature_types_calls(monkeypatch, no_iteration) == 0
+    F3, G1 = Free(0, III), Free(1, I)
+    criterion_10 = [([(mk_app(F3, [G1, G1]), App(f, G1))], NO_ORACLES)]
+    assert _signature_types_calls(monkeypatch, criterion_10) == 1
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,25 @@ def test_type_of_golden_and_failure():
         type_of(App(f, f))  # domain mismatch
 
 
+def test_type_of_deep_terms_at_default_recursion_limit():
+    # the first visit walks without recursion and types a shared node
+    # once; the memo makes the second visit O(1), and an ill-typed node is
+    # never memoized
+    assert type_of(Lam(I, _tower(5000, Bound(0, I)))) == II
+    bad = Lam(I, _tower(5000, App(a, Bound(0, I))))
+    for _ in range(2):
+        with pytest.raises(IllTyped, match="base-type"):
+            type_of(bad)
+    mismatch = _tower(5000, App(f, f))
+    for _ in range(2):
+        with pytest.raises(IllTyped, match="does not match"):
+            type_of(mismatch)
+    shared = a  # 2^60 paths, 61 distinct nodes: each is typed once
+    for _ in range(60):
+        shared = mk_app(g, [shared, shared])
+    assert type_of(shared) == I
+
+
 def test_spine_mk_app_roundtrip():
     t = mk_app(g, [App(f, a), b])
     head, args = spine(t)
