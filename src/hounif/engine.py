@@ -18,7 +18,9 @@ One step applies the first applicable transition, in this order:
 
 `_transition` is the one place that decides which transition applies;
 `step` applies it.  It reads each side's binder prefix, head and arguments
-from the view the constraint took of it once, when it was built.  Both
+from the constraint's views, which copies of the constraint share (see
+`Constraint`).  A branch point's children come from one generator,
+`_children`, which charges each child's rule before building it.  Both
 variants draw their bindings from one generator, `_candidates`; the
 pragmatic variant takes a finite subset on flex-flex pairs and keeps the
 bindings within its per-constraint limits.  When the limits drop every
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -143,13 +145,19 @@ def _view(t: Term) -> tuple[list[Type], Term, list[Term]]:
     return tys, head, args
 
 
-@dataclass(frozen=True)
 class Constraint:
     """An unordered pair of terms of equal type; `seq` is the insertion
     sequence number used to break selection ties.
 
-    `lview` and `rview` hold the sides' views (see `_view`); they are not
-    fields, so equality and `replace` see only the four fields.
+    Constraints, states and step results are `__slots__` records filled
+    by plain assignment; nothing changes them after construction.  A
+    constraint also holds its sides' views (see `_view`) in `lview` and
+    `rview`.  The views are not among its values: equality, hashing and
+    the repr see only `lhs`, `rhs`, `seq` and `counters`.  A side's view
+    is taken once, where the side first enters a constraint, and every
+    copy that keeps the side shares it: `make`'s reoriented pair swaps
+    the views, `with_sides` keeps the view of a side passed back
+    unchanged, and a counter bump (`with_counters`) keeps both.
 
     `make` puts a pair in the canonical orientation (`term_order`), except
     a rigid pair: one whose sides have equally long binder prefixes and
@@ -159,40 +167,62 @@ class Constraint:
     rigid layers is built without walking to the first difference on
     every layer."""
 
-    lhs: Term
-    rhs: Term
-    seq: int
-    counters: Counters = Counters()
+    __slots__ = ("lhs", "rhs", "seq", "counters", "lview", "rview")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lview", _view(self.lhs))
-        object.__setattr__(self, "rview", _view(self.rhs))
+    def __init__(self, lhs: Term, rhs: Term, seq: int, counters: Counters = Counters(),
+                 lview=None, rview=None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.seq = seq
+        self.counters = counters
+        self.lview = _view(lhs) if lview is None else lview
+        self.rview = _view(rhs) if rview is None else rview
 
     @staticmethod
     def make(s: Term, t: Term, seq: int, counters: Counters = Counters()) -> "Constraint":
         ts, tt = type_of(s), type_of(t)
         if ts is not tt and ts != tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
-        c = Constraint(s, t, seq, counters)
-        (stys, hs, _), (ttys, ht, _) = c.lview, c.rview
+        sv, tv = _view(s), _view(t)
+        (stys, hs, _), (ttys, ht, _) = sv, tv
         rigid = len(stys) == len(ttys) and type(hs) in (Const, Bound) and type(ht) in (Const, Bound)
-        return c if rigid or term_order(s, t) <= 0 else Constraint(t, s, seq, counters)
+        if rigid or term_order(s, t) <= 0:
+            return Constraint(s, t, seq, counters, sv, tv)
+        return Constraint(t, s, seq, counters, tv, sv)
 
     def with_sides(self, s: Term, t: Term) -> "Constraint":
-        return Constraint(s, t, self.seq, self.counters)
+        return Constraint(
+            s, t, self.seq, self.counters,
+            self.lview if s is self.lhs else None,
+            self.rview if t is self.rhs else None,
+        )
+
+    def with_counters(self, counters: Counters) -> "Constraint":
+        return Constraint(self.lhs, self.rhs, self.seq, counters, self.lview, self.rview)
+
+    def _key(self) -> tuple:
+        return self.lhs, self.rhs, self.seq, self.counters
+
+    def __eq__(self, other):
+        return type(other) is Constraint and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"{self.lhs!r} =?= {self.rhs!r}"
 
 
-@dataclass(frozen=True)
 class UnifState:
-    constraints: tuple[Constraint, ...]
-    subst: TriangularSubst
-    next_seq: int
+    __slots__ = ("constraints", "subst", "next_seq")
+
+    def __init__(self, constraints: tuple[Constraint, ...], subst: TriangularSubst, next_seq: int):
+        self.constraints = constraints
+        self.subst = subst
+        self.next_seq = next_seq
 
     def without(self, c: Constraint) -> tuple[Constraint, ...]:
-        return tuple(x for x in self.constraints if x is not c)
+        return tuple([x for x in self.constraints if x is not c])
 
 
 @dataclass(frozen=True)
@@ -226,12 +256,15 @@ class EngineConfig:
 # ------------------------------------------------------------ step results
 
 
-@dataclass
 class StepResult:
-    kind: str  # "solved" | "failed" | "children"
-    rule: str
-    solution: Optional[TriangularSubst] = None
-    states: Iterable[UnifState] = ()
+    __slots__ = ("kind", "rule", "solution", "states")
+
+    def __init__(self, kind: str, rule: str, solution: Optional[TriangularSubst] = None,
+                 states: Iterable[UnifState] = ()):
+        self.kind = kind  # "solved" | "failed" | "children"
+        self.rule = rule
+        self.solution = solution
+        self.states = states
 
 
 class Search:
@@ -443,15 +476,6 @@ def _candidates(F: Free, other: Term, search: Search) -> Iterator[Binding | None
             yield from _iterations_for(F, func_args, search)
 
 
-def _within_limits(
-    c: Constraint, bindings: list[tuple[Binding, Counters]], limits: Limits
-) -> tuple[list[tuple[Binding, Counters]], bool]:
-    """The pragmatic filter: the bindings that keep the constraint's
-    counters within the limits, and whether any binding was dropped."""
-    kept = [(b, delta) for b, delta in bindings if c.counters.add(delta).within(limits)]
-    return kept, len(kept) < len(bindings)
-
-
 def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
     """{F -> \\xbar. H, G -> \\ybar. H}: collapse a flex-flex pair whose
     binding budget is spent onto a shared fresh head."""
@@ -482,41 +506,18 @@ def _extended(rho: Substitution, state: UnifState, search: Search) -> Triangular
     return subst
 
 
-def _oracle_sized(s: Term, t: Term, cfg: EngineConfig) -> bool:
-    """Whether a constraint is small enough to hand to the oracles."""
-    cap = cfg.oracle_size_cap
-    return size_within(s, cap) and size_within(t, cap)
-
-
 def _decomposed(c: Constraint, state: UnifState) -> UnifState:
     tys, _, sargs = c.lview
     targs = c.rview[2]
     if len(sargs) != len(targs):
         raise InternalError("equal heads with unequal argument counts")
-    rest = list(state.without(c))
-    seq = state.next_seq
-    for a, b in zip(sargs, targs):
-        rest.append(
-            Constraint.make(mk_lams(tys, a), mk_lams(tys, b), seq, c.counters)
-        )
-        seq += 1
-    return UnifState(tuple(rest), state.subst, seq)
-
-
-def _bound_child(
-    c: Constraint, state: UnifState, b: Binding, delta: Counters, search: Search
-) -> UnifState:
-    new_subst = _extended(b.as_subst(), state, search)
-    bumped = replace(c, counters=c.counters.add(delta))
-    constraints = tuple(bumped if x is c else x for x in state.constraints)
-    return UnifState(constraints, new_subst, state.next_seq)
-
-
-def _oracle_child(
-    c: Constraint, state: UnifState, rho: Substitution, search: Search
-) -> UnifState:
-    new_subst = _extended(rho, state, search)
-    return UnifState(state.without(c), new_subst, state.next_seq)
+    seq, counters = state.next_seq, c.counters
+    children = [
+        Constraint.make(mk_lams(tys, a), mk_lams(tys, b), seq + i, counters)
+        for i, (a, b) in enumerate(zip(sargs, targs))
+    ]
+    rest = [x for x in state.constraints if x is not c]
+    return UnifState(tuple(rest + children), state.subst, seq + len(children))
 
 
 def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constraint], object]:
@@ -547,15 +548,8 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     if type(hs) is Lam or type(ht) is Lam:
         return "normalize_beta", c, c.with_sides(hnf(s), hnf(t))
 
-    # replace a substituted head
-    for which, (tys, head, args) in (("lhs", c.lview), ("rhs", c.rview)):
-        if type(head) is Free:
-            image = subst.image_of(head.id)
-            if image is not None:
-                new_side = mk_lams(tys, mk_app(image, args))
-                c2 = c.with_sides(new_side, t) if which == "lhs" else c.with_sides(s, new_side)
-                return "dereference", c, c2
-
+    # a rigid pair (no substituted head to replace) clashes, is deleted
+    # or is decomposed
     flex_l, flex_r = type(hs) is Free, type(ht) is Free
     if not flex_l and not flex_r:
         if hs is not ht and hs != ht:
@@ -565,6 +559,16 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
         if hash(s) == hash(t) and s == t:
             return "delete", c, None
         return "branch", c, (True, ())
+
+    # replace a substituted head
+    for which, (tys, head, args) in (("lhs", c.lview), ("rhs", c.rview)):
+        if type(head) is Free:
+            image = subst.image_of(head.id)
+            if image is not None:
+                new_side = mk_lams(tys, mk_app(image, args))
+                c2 = c.with_sides(new_side, t) if which == "lhs" else c.with_sides(s, new_side)
+                return "dereference", c, c2
+
     if s == t:
         return "delete", c, None
 
@@ -573,8 +577,9 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     # resolved and canonicalized once, on the phase's fuel; each oracle
     # then gets a meter of what that leaves, as if it had canonicalized
     # them itself.
-    if search.oracle_fns and _oracle_sized(s, t, cfg):
-        phase = Fuel(_FUEL_FACTOR * cfg.oracle_size_cap)
+    cap = cfg.oracle_size_cap
+    if search.oracle_fns and size_within(s, cap) and size_within(t, cap):
+        phase = Fuel(_FUEL_FACTOR * cap)
         try:
             cs, ct = canonical(subst.apply(s), phase), canonical(subst.apply(t), phase)
         except ReductionBudget:
@@ -598,10 +603,12 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     F, other = (hs, ht) if flex_l else (ht, hs)
     bindings = ((b, _binding_delta(b)) for b in _candidates(F, other, search) if b is not None)
     if cfg.variant == "pragmatic":
-        # the pragmatic cutoff: when the limits drop every binding, a
-        # flex-flex pair is solved trivially and a flex-rigid one fails
-        bindings, dropped = _within_limits(c, list(bindings), cfg.limits)
-        if not bindings and dropped:
+        # keep the bindings within the limits; when they drop every
+        # binding, the pragmatic cutoff solves a flex-flex pair trivially
+        # and fails a flex-rigid one
+        every = list(bindings)
+        bindings = [(b, d) for b, d in every if c.counters.add(d).within(cfg.limits)]
+        if every and not bindings:
             if flex_l and flex_r:
                 return "oracle_succ", c, (_trivial_unifier(c, search.supply),)
             return "oracle_fail", c, None
@@ -612,44 +619,59 @@ def step(state: UnifState, search: Search) -> StepResult:
     """Apply the first applicable transition (charging the budget); for a
     branch point, return lazily materialized children."""
     rule, c, payload = _transition(state, search)
-    if rule == "oracle_succ":
-        edges = ((rule, lambda rho=rho: _oracle_child(c, state, rho, search)) for rho in payload)
-        return StepResult("children", rule, states=_charged(search, edges))
     if rule == "branch":
-        heads_equal, bindings = payload
-
-        def edges():
-            if heads_equal:
-                yield "decompose", (lambda: _decomposed(c, state))
-            for b, delta in bindings:
-                yield f"bind_{b.kind}", (lambda b=b, d=delta: _bound_child(c, state, b, d, search))
-
-        return StepResult("children", rule, states=_charged(search, edges()))
+        return StepResult("children", rule, None, _children(c, state, search, *payload))
+    if rule == "oracle_succ":
+        edges = [(rho, None) for rho in payload]
+        return StepResult("children", rule, None, _children(c, state, search, False, edges))
 
     search.charge(rule)
     if rule == "succeed":
-        return StepResult("solved", rule, solution=state.subst)
+        return StepResult("solved", rule, state.subst)
     if rule in ("fail", "oracle_fail"):
         return StepResult("failed", rule)
     if rule == "delete":
         constraints = state.without(c)
     else:  # a rewritten constraint replaces the selected one
-        constraints = tuple(payload if x is c else x for x in state.constraints)
-    return StepResult("children", rule, states=(UnifState(constraints, state.subst, state.next_seq),))
+        constraints = tuple([payload if x is c else x for x in state.constraints])
+    child = UnifState(constraints, state.subst, state.next_seq)
+    return StepResult("children", rule, None, (child,))
 
 
-def _charged(search: Search, edges: Iterator[tuple[str, Callable[[], UnifState]]]):
-    """Materialize a branch's children one at a time, charging each
-    child's rule; a child whose substitution overgrows is abandoned."""
-    for rule, mk in edges:
+def _children(
+    c: Constraint, state: UnifState, search: Search, heads_equal: bool, edges: Iterable[tuple]
+) -> Iterator[UnifState]:
+    """A branch point's children, built one at a time: the decomposition
+    first if `heads_equal`, then one child per edge of `edges`.  An edge
+    is a (binding, counters delta) pair, whose child keeps `c` with its
+    counters bumped, or an oracle's (unifier, None), whose child drops
+    `c`.  Each child's rule is charged before the child is built.  When
+    the step budget is spent the branch ends, and a child whose
+    substitution overgrows is abandoned; both are budget stops."""
+    if heads_equal:
         if search.steps_left <= 0:
             search.budget_hit = True
             return
-        search.charge(rule)
+        search.charge("decompose")
+        yield _decomposed(c, state)
+    for edge, delta in edges:
+        if search.steps_left <= 0:
+            search.budget_hit = True
+            return
+        if delta is None:  # an oracle's unifier solves c
+            search.charge("oracle_succ")
+            rho, constraints = edge, state.without(c)
+        else:
+            search.charge(f"bind_{edge.kind}")
+            bumped = c.with_counters(c.counters.add(delta))
+            rho = edge.as_subst()
+            constraints = tuple([bumped if x is c else x for x in state.constraints])
         try:
-            yield mk()
+            subst = _extended(rho, state, search)
         except Overgrown:
             search.budget_hit = True  # branch abandoned: search truncated
+            continue
+        yield UnifState(constraints, subst, state.next_seq)
 
 
 # ------------------------------------------------------------- exploration
@@ -718,10 +740,6 @@ def prepare(pairs, cfg: EngineConfig) -> tuple[UnifState, Search]:
     return state, search
 
 
-def _emit(subst: TriangularSubst, search: Search) -> Substitution:
-    return subst.restrict(search.problem_ids)
-
-
 def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]]:
     """Fair, lazy exploration of the transition tree.
 
@@ -750,7 +768,7 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
                     break
                 spent += 1
                 if res.kind == "solved":
-                    yield _emit(res.solution, search)
+                    yield res.solution.restrict(search.problem_ids)
                     break
                 if res.kind == "failed":
                     break
@@ -764,7 +782,7 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
                         search.budget_hit = True
                         return
                     continue
-                agenda.append(iter(states))
+                agenda.append(states)
                 break
             pending += spent
         else:
@@ -790,22 +808,3 @@ def verify_unifier(pairs, subst: Substitution) -> bool:
         if canonical(subst.apply(s)) != canonical(subst.apply(t)):
             return False
     return True
-
-
-# --------------------------------------------------- rule-order inspection
-
-
-def applicable_rules(state: UnifState, search: Search) -> list[str]:
-    """The transition `step` applies at this state, as tests inspect it:
-    ["oracle"] for an oracle verdict or the pragmatic cutoff, the kinds of
-    a branch point's edges ("decompose", "bind"), otherwise [rule]."""
-    rule, _, payload = _transition(state, search)
-    if rule in ("oracle_succ", "oracle_fail"):
-        return ["oracle"]
-    if rule != "branch":
-        return [rule]
-    heads_equal, bindings = payload
-    kinds = ["decompose"] if heads_equal else []
-    if next(iter(bindings), None) is not None:
-        kinds.append("bind")
-    return kinds

@@ -20,7 +20,7 @@ from termgen import (
     make_frees,
     subst_key,
 )
-from hounif.engine import EngineConfig, applicable_rules, prepare, solve, step, verify_unifier
+from hounif.engine import EngineConfig, prepare, solve, step, verify_unifier
 from hounif.fingerprint import (
     DEFAULT_POSITIONS,
     FingerprintIndex,
@@ -34,6 +34,7 @@ from hounif.oracles import NotApplicable, NotUnifiable, Success
 from hounif.oracles import resolve as _resolve
 from hounif.subst import FreshSupply, Substitution
 from hounif.terms import App, Bound, Const, Free, Lam, arrow, free_vars, mk_app, type_of
+from test_engine import applicable_rules
 
 a = Const("a", I)
 b = Const("b", I)

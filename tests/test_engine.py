@@ -1,5 +1,6 @@
 """The transition engine: goldens, precedence, laziness, fairness, hygiene."""
 
+import dataclasses
 import hashlib
 import itertools
 import pathlib
@@ -13,7 +14,6 @@ from hounif import engine, normalize, oracles
 from hounif.engine import (
     EngineConfig,
     Limits,
-    applicable_rules,
     prepare,
     solve,
     step,
@@ -51,6 +51,22 @@ def hpow(k, t):
     for _ in range(k):
         t = App(h, t)
     return t
+
+
+def applicable_rules(state, search):
+    """The transition `step` applies at this state, as the tests inspect
+    it: ["oracle"] for an oracle verdict or the pragmatic cutoff, the kinds
+    of a branch point's edges ("decompose", "bind"), otherwise [rule]."""
+    rule, _, payload = engine._transition(state, search)
+    if rule in ("oracle_succ", "oracle_fail"):
+        return ["oracle"]
+    if rule != "branch":
+        return [rule]
+    heads_equal, bindings = payload
+    kinds = ["decompose"] if heads_equal else []
+    if next(iter(bindings), None) is not None:
+        kinds.append("bind")
+    return kinds
 
 
 def drive_to_branch(state, search, max_steps=10_000):
@@ -375,6 +391,69 @@ def test_constraint_views_match_their_sides():
     assert checked > 500
 
 
+def test_constraint_values_are_the_four_fields():
+    F = Free(0, II)
+    s, t = App(F, a), App(f, a)
+    c = engine.Constraint(s, t, 3)
+    other_views = engine.Constraint(s, t, 3, engine.Counters(), ([], a, []), ([], b, []))
+    assert c == other_views and hash(c) == hash(other_views)
+    assert repr(c) == repr(other_views) == f"{s!r} =?= {t!r}"
+    bumped = c.with_counters(engine.Counters(total=1))
+    assert c != bumped and c != engine.Constraint(s, t, 4) and c != engine.Constraint(t, s, 3)
+    assert c == engine.Constraint(s, t, 3, engine.Counters(total=0))
+
+
+def test_constraint_copies_share_the_views_of_kept_sides():
+    F = Free(0, II)
+    c = engine.Constraint.make(App(F, a), App(f, a), 0)
+    new = App(f, b)
+    left_kept = c.with_sides(c.lhs, new)
+    assert left_kept.lview is c.lview and left_kept.rview == _side_view(new)
+    right_kept = c.with_sides(new, c.rhs)
+    assert right_kept.rview is c.rview and right_kept.lview == _side_view(new)
+    # make's reoriented pair swaps the views it took
+    swapped = engine.Constraint.make(c.rhs, c.lhs, 0)
+    assert (swapped.lhs, swapped.rhs) == (c.lhs, c.rhs)
+    assert swapped.lview == c.lview and swapped.rview == c.rview
+
+
+def test_bound_child_shares_the_views_of_its_constraint():
+    # the counter bump copies the constraint with both views
+    F = Free(0, II)
+    state, search = prepare([(App(F, a), App(f, a))], NO_ORACLES)
+    (c,) = state.constraints
+    res = step(state, search)
+    assert res.rule == "branch"
+    child = next(res.states)
+    (bumped,) = child.constraints
+    assert bumped.counters.total == 1 and bumped == c.with_counters(bumped.counters)
+    assert bumped.lview is c.lview and bumped.rview is c.rview
+
+
+def test_views_taken_about_once_per_constraint(monkeypatch):
+    # every copy of a constraint shares the views of the sides it keeps,
+    # so the views taken stay below two per constraint built
+    counts = {"views": 0, "built": 0}
+    view, init = engine._view, engine.Constraint.__init__
+
+    def counted_view(t):
+        counts["views"] += 1
+        return view(t)
+
+    def counted_init(self, *args):
+        counts["built"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(engine, "_view", counted_view)
+    monkeypatch.setattr(engine.Constraint, "__init__", counted_init)
+    problems = _pinned_problems()
+    for name in ("criterion9", "criterion10"):
+        pairs, cfg, _ = problems[name]
+        solve(pairs, cfg).unifiers(max_pulls=300)
+    assert counts["built"] > 1_000
+    assert counts["views"] < 2 * counts["built"]
+
+
 @pytest.mark.parametrize(
     "pair, rule",
     [
@@ -659,6 +738,66 @@ def test_enumerate_streams_pinned(name):
     assert (len(lines), digest) == (count, want_digest)
     assert (got_pulls, got_status) == (pulls, status)
     assert got_stats == want_stats
+
+
+#: streams that end when the step budget runs out, pulled to their end:
+#: (problem, max_steps) -> the record `PINNED_STREAMS` keeps
+PINNED_BUDGET_STOPS = {
+    ("criterion10", 50): (
+        2,
+        "9773afe4981b3048",
+        10,
+        "budget",
+        {"bind_elimination": 2, "bind_huet_projection": 2, "bind_identification": 2,
+         "bind_imitation": 5, "bind_iteration": 2, "bind_jp_projection": 2, "decompose": 4,
+         "delete": 2, "dereference": 17, "normalize_beta": 10, "succeed": 2},
+    ),
+    ("criterion10", 137): (
+        5,
+        "9fab1c2ffb49b61a",
+        25,
+        "budget",
+        {"bind_elimination": 6, "bind_huet_projection": 2, "bind_identification": 10,
+         "bind_imitation": 6, "bind_iteration": 9, "bind_jp_projection": 8, "decompose": 11,
+         "delete": 5, "dereference": 47, "normalize_beta": 28, "succeed": 5},
+    ),
+    ("criterion10", 200): (
+        8,
+        "2022e9291f1f4512",
+        36,
+        "budget",
+        {"bind_elimination": 9, "bind_huet_projection": 2, "bind_identification": 13,
+         "bind_imitation": 7, "bind_iteration": 14, "bind_jp_projection": 13, "decompose": 14,
+         "delete": 9, "dereference": 69, "normalize_beta": 42, "succeed": 8},
+    ),
+    ("criterion9", 200): (
+        14,
+        "ea284a8402279fe6",
+        42,
+        "budget",
+        {"bind_huet_projection": 15, "bind_imitation": 15, "decompose": 28, "delete": 14,
+         "dereference": 57, "normalize_beta": 57, "succeed": 14},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, max_steps", sorted(PINNED_BUDGET_STOPS), ids=lambda v: str(v)
+)
+def test_budget_stop_streams_pinned(name, max_steps):
+    """A budget stop between or inside branch points ends the stream at
+    the same pull, with the same unifiers and transitions, as pinned."""
+    pairs, cfg, problem_vars = _pinned_problems()[name]
+    cfg = dataclasses.replace(cfg, max_steps=max_steps)
+    lines, got_pulls, got_status, got_stats = _stream_record(
+        pairs, cfg, problem_vars, max_pulls=100_000
+    )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    count, want_digest, pulls, status, want_stats = PINNED_BUDGET_STOPS[name, max_steps]
+    assert (len(lines), digest) == (count, want_digest)
+    assert (got_pulls, got_status) == (pulls, status)
+    assert got_stats == want_stats
+    assert sum(got_stats.values()) == max_steps
 
 
 def test_unknown_variant_rejected():
