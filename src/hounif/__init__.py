@@ -18,14 +18,8 @@ from .errors import (
     ParseError,
     TypeMismatch,
 )
-from .fingerprint import (
-    DEFAULT_POSITIONS,
-    FingerprintIndex,
-    compatible_match,
-    compatible_unif,
-    fp_ho,
-)
-from .normalize import alpha_beta_eta_equal, beta_normal, canonical, eta_long
+from .fingerprint import DEFAULT_POSITIONS, FingerprintIndex, fp_ho
+from .normalize import beta_normal, canonical, eta_long
 from .oracles import NotApplicable, NotUnifiable, Success, resolve
 from .problem_io import (
     IndexFile,
@@ -64,8 +58,7 @@ __all__ = [
     "InternalError", "Lam", "Limits",
     "NotApplicable", "NotUnifiable", "ParseError",
     "Problem", "Substitution", "Success", "Term", "Type", "TypeMismatch",
-    "UnifierStream", "alpha_beta_eta_equal", "arrow", "beta_normal",
-    "canonical", "compatible_match", "compatible_unif", "compose",
+    "UnifierStream", "arrow", "beta_normal", "canonical", "compose",
     "eta_long", "fp_ho", "free_vars", "mk_app", "mk_lams", "parse_index",
     "parse_problem", "parse_unifier", "print_problem", "print_term",
     "print_unifier", "resolve", "solve", "type_of", "verify_unifier",

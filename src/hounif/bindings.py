@@ -32,7 +32,6 @@ from .terms import (
 class Binding:
     kind: str
     entries: tuple[tuple[Free, Term], ...]
-    fresh: tuple[Free, ...] = ()
 
     def as_subst(self) -> Substitution:
         return Substitution(self.entries)
@@ -65,10 +64,10 @@ def huet_projection(F: Free, i: int, supply: FreshSupply) -> Binding | None:
     if result_type(alphas[i - 1]) != beta:
         return None
     xs = bvars(n, alphas)
-    fresh = tuple(supply.fresh(arrow(alphas, g)) for g in gammas)
+    fresh = [supply.fresh(arrow(alphas, g)) for g in gammas]
     args = [mk_app(Fj, xs) for Fj in fresh]
     image = mk_lams(alphas, mk_app(Bound(n - i, alphas[i - 1]), args))
-    return Binding("huet_projection", ((F, image),), fresh)
+    return Binding("huet_projection", ((F, image),))
 
 
 def imitation(F: Free, g: Const, supply: FreshSupply) -> Binding | None:
@@ -78,9 +77,9 @@ def imitation(F: Free, g: Const, supply: FreshSupply) -> Binding | None:
         return None
     gammas = arg_types(g.ty)
     xs = bvars(len(alphas), alphas)
-    fresh = tuple(supply.fresh(arrow(alphas, gm)) for gm in gammas)
+    fresh = [supply.fresh(arrow(alphas, gm)) for gm in gammas]
     image = mk_lams(alphas, mk_app(g, [mk_app(Fj, xs) for Fj in fresh]))
-    return Binding("imitation", ((F, image),), fresh)
+    return Binding("imitation", ((F, image),))
 
 
 def elimination(F: Free, keep, supply: FreshSupply) -> Binding | None:
@@ -96,7 +95,7 @@ def elimination(F: Free, keep, supply: FreshSupply) -> Binding | None:
     kept_tys = [alphas[j - 1] for j in keep]
     G = supply.fresh(arrow(kept_tys, result_type(F.ty)), ELIMINATION)
     image = mk_lams(alphas, mk_app(G, [Bound(n - j, alphas[j - 1]) for j in keep]))
-    return Binding("elimination", ((F, image),), (G,))
+    return Binding("elimination", ((F, image),))
 
 
 def identification(F: Free, G: Free, supply: FreshSupply) -> Binding | None:
@@ -115,8 +114,8 @@ def identification(F: Free, G: Free, supply: FreshSupply) -> Binding | None:
         return None
     n, m = len(alphas), len(gammas)
     H = supply.fresh(arrow(list(alphas) + list(gammas), beta), IDENTIFICATION)
-    Fs = tuple(supply.fresh(arrow(alphas, g)) for g in gammas)
-    Gs = tuple(supply.fresh(arrow(gammas, a)) for a in alphas)
+    Fs = [supply.fresh(arrow(alphas, g)) for g in gammas]
+    Gs = [supply.fresh(arrow(gammas, a)) for a in alphas]
     xs = bvars(n, alphas)
     image_F = mk_lams(
         alphas, mk_app(H, xs + [mk_app(Fj, xs) for Fj in Fs])
@@ -125,9 +124,7 @@ def identification(F: Free, G: Free, supply: FreshSupply) -> Binding | None:
     image_G = mk_lams(
         gammas, mk_app(H, [mk_app(Gk, ys) for Gk in Gs] + ys)
     )
-    return Binding(
-        "identification", ((F, image_F), (G, image_G)), (H,) + Fs + Gs
-    )
+    return Binding("identification", ((F, image_F), (G, image_G)))
 
 
 def iteration(F: Free, i: int, y_tys, supply: FreshSupply) -> Binding | None:
@@ -144,11 +141,8 @@ def iteration(F: Free, i: int, y_tys, supply: FreshSupply) -> Binding | None:
     k = len(y_tys)
     gammas = arg_types(alphas[i - 1])
     beta2 = result_type(alphas[i - 1])
-    m = len(gammas)
 
-    Gs = tuple(
-        supply.fresh(arrow(list(alphas) + list(y_tys), g)) for g in gammas
-    )
+    Gs = [supply.fresh(arrow(list(alphas) + list(y_tys), g)) for g in gammas]
     # under binders x1..xn then y1..yk
     xs_in = [Bound(k + n - l, alphas[l - 1]) for l in range(1, n + 1)]
     ys_in = [Bound(k - p, y_tys[p - 1]) for p in range(1, k + 1)]
@@ -160,4 +154,4 @@ def iteration(F: Free, i: int, y_tys, supply: FreshSupply) -> Binding | None:
     H = supply.fresh(arrow(list(alphas) + [inner_ty], result_type(F.ty)))
     xs = bvars(n, alphas)
     image = mk_lams(alphas, mk_app(H, xs + [inner]))
-    return Binding("iteration", ((F, image),), (H,) + Gs)
+    return Binding("iteration", ((F, image),))

@@ -50,8 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="pattern,fixpoint,solid",
         help="comma-separated oracle names; empty string disables all",
     )
-    ps.add_argument("--limits", default="4,2,2,2,2",
-                    help="pragmatic limits TOTAL,FP,EL,IM,ID")
+    default_limits = ",".join(map(str, Limits()))
+    ps.add_argument("--limits", default=default_limits,
+                    help=f"pragmatic limits TOTAL,FP,EL,IM,ID (default {default_limits})")
     ps.add_argument("--max-unifiers", type=int, default=None)
     ps.add_argument("--max-steps", type=int, default=100_000)
     ps.add_argument("--timeout-ms", type=int, default=None)
@@ -190,9 +191,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser, head normalization and type checking recurse once
-        # per level of term nesting; beta normalization and eta expansion
-        # do not
+        # the parser, head normalization's `instantiate` and `shift`, and
+        # the printers recurse once per level of term nesting; type
+        # checking, beta normalization and eta expansion do not
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

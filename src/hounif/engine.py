@@ -47,7 +47,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import oracles as _oracles
 from .bindings import (
@@ -93,18 +93,19 @@ from .terms import (
 # ------------------------------------------------------------- constraints
 
 
-@dataclass(frozen=True)
-class Counters:
-    """Per-constraint tallies of bindings applied on the way here."""
+class Limits(NamedTuple):
+    """Bindings counted by kind.  The pragmatic variant's per-constraint
+    limits are one; each constraint's tally of the bindings applied on
+    the way to it, which the limits bound, is another."""
 
-    total: int = 0
-    func_proj: int = 0
-    elim: int = 0
-    imit: int = 0
-    ident: int = 0
+    total: int = 4
+    func_proj: int = 2
+    elim: int = 2
+    imit: int = 2
+    ident: int = 2
 
-    def add(self, other: "Counters") -> "Counters":
-        return Counters(
+    def add(self, other: "Limits") -> "Limits":
+        return Limits(
             self.total + other.total,
             self.func_proj + other.func_proj,
             self.elim + other.elim,
@@ -121,21 +122,17 @@ class Counters:
             and self.ident <= limits.ident
         )
 
-
-@dataclass(frozen=True)
-class Limits:
-    total: int = 4
-    func_proj: int = 2
-    elim: int = 2
-    imit: int = 2
-    ident: int = 2
-
     @classmethod
     def parse(cls, text: str) -> "Limits":
         parts = [int(p) for p in text.split(",")]
         if len(parts) != 5:
             raise ValueError("limits must be five integers: total,funcProj,elim,imit,ident")
         return cls(*parts)
+
+
+#: the tally of a constraint no binding has touched, and the delta of a
+#: binding that counts against no limit
+NO_BINDINGS = Limits(0, 0, 0, 0, 0)
 
 
 def _view(t: Term) -> tuple[list[Type], Term, list[Term]]:
@@ -169,7 +166,7 @@ class Constraint:
 
     __slots__ = ("lhs", "rhs", "seq", "counters", "lview", "rview")
 
-    def __init__(self, lhs: Term, rhs: Term, seq: int, counters: Counters = Counters(),
+    def __init__(self, lhs: Term, rhs: Term, seq: int, counters: Limits = NO_BINDINGS,
                  lview=None, rview=None):
         self.lhs = lhs
         self.rhs = rhs
@@ -179,7 +176,7 @@ class Constraint:
         self.rview = _view(rhs) if rview is None else rview
 
     @staticmethod
-    def make(s: Term, t: Term, seq: int, counters: Counters = Counters()) -> "Constraint":
+    def make(s: Term, t: Term, seq: int, counters: Limits = NO_BINDINGS) -> "Constraint":
         ts, tt = type_of(s), type_of(t)
         if ts is not tt and ts != tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
@@ -197,7 +194,7 @@ class Constraint:
             self.rview if t is self.rhs else None,
         )
 
-    def with_counters(self, counters: Counters) -> "Constraint":
+    def with_counters(self, counters: Limits) -> "Constraint":
         return Constraint(self.lhs, self.rhs, self.seq, counters, self.lview, self.rview)
 
     def _key(self) -> tuple:
@@ -231,20 +228,6 @@ class EngineConfig:
     oracles: tuple[str, ...] = ("pattern", "fixpoint", "solid")
     limits: Limits = Limits()
     max_steps: int = 100_000
-    pacing: int = 8
-    #: a branch whose substitution resolves an image to more than this many
-    #: nodes is abandoned (and the truncation reported as a budget stop);
-    #: bindings that duplicate arguments can otherwise double the state size
-    #: on every transition, making a single step arbitrarily expensive.
-    #: The same stop applies to a resolved image deeper than head
-    #: normalization's `instantiate` and `shift`, which still recurse, allow
-    #: at the interpreter's recursion limit, or one whose beta normalization
-    #: needs more than `_FUEL_FACTOR` reduction units per node of this cap.
-    max_image_size: int = 2_000
-    #: constraints larger than this skip the oracle phase (oracles have to
-    #: fully normalize both sides up front, which is the one place a huge
-    #: mid-search term would get traversed eagerly).
-    oracle_size_cap: int = 10_000
 
     def __post_init__(self):
         if self.variant not in ("complete", "pragmatic"):
@@ -408,29 +391,26 @@ def _proper_subsequences(n: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(1, n + 1), keep_len)
 
 
-_NO_DELTA = Counters()
-
-
-def _binding_delta(b: Binding) -> Counters:
+def _binding_delta(b: Binding) -> Limits:
     match b.kind:
         case "imitation":
-            return Counters(total=1, imit=1)
+            return Limits(1, 0, 0, 1, 0)
         case "identification":
-            return Counters(total=1, ident=1)
+            return Limits(1, 0, 0, 0, 1)
         case "elimination":
             F, image = b.entries[0]
             removed = arity(F.ty) - len(spine(strip_lams(image)[1])[1])
-            return Counters(total=1, elim=removed)
+            return Limits(1, 0, removed, 0, 0)
         case "huet_projection":
             _, image_body = strip_lams(b.entries[0][1])
             _, args = spine(image_body)
             if args:
-                return Counters(total=1, func_proj=1)
-            return _NO_DELTA  # base-type projection: shrinks the problem
+                return Limits(1, 1, 0, 0, 0)
+            return NO_BINDINGS  # base-type projection: shrinks the problem
         case "jp_projection":
-            return _NO_DELTA
+            return NO_BINDINGS
         case _:
-            return Counters(total=1)
+            return Limits(1, 0, 0, 0, 0)
 
 
 def _candidates(F: Free, other: Term, search: Search) -> Iterator[Binding | None]:
@@ -494,6 +474,25 @@ def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
 #: a well-behaved image takes work linear in its size, so anything needing
 #: more than this factor is treated as a blow-up.
 _FUEL_FACTOR = 25
+
+#: at most this many deterministic transitions per visit of a live state,
+#: and a pacing marker about every this many transitions (see `_explore`)
+_PACING = 8
+
+#: a branch whose substitution resolves an image to more than this many
+#: nodes is abandoned (and the truncation reported as a budget stop);
+#: bindings that duplicate arguments can otherwise double the state size
+#: on every transition, making a single step arbitrarily expensive.
+#: The same stop applies to a resolved image deeper than head
+#: normalization's `instantiate` and `shift`, which still recurse, allow
+#: at the interpreter's recursion limit, or one whose beta normalization
+#: needs more than `_FUEL_FACTOR` reduction units per node of this cap.
+_MAX_IMAGE_SIZE = 2_000
+
+#: constraints larger than this skip the oracle phase (oracles have to
+#: fully normalize both sides up front, which is the one place a huge
+#: mid-search term would get traversed eagerly).
+_ORACLE_SIZE_CAP = 10_000
 
 
 def _extended(rho: Substitution, state: UnifState, search: Search) -> TriangularSubst:
@@ -577,7 +576,7 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     # resolved and canonicalized once, on the phase's fuel; each oracle
     # then gets a meter of what that leaves, as if it had canonicalized
     # them itself.
-    cap = cfg.oracle_size_cap
+    cap = _ORACLE_SIZE_CAP
     if search.oracle_fns and size_within(s, cap) and size_within(t, cap):
         phase = Fuel(_FUEL_FACTOR * cap)
         try:
@@ -735,7 +734,7 @@ def prepare(pairs, cfg: EngineConfig) -> tuple[UnifState, Search]:
     constraints = tuple(
         Constraint.make(s, t, seq) for seq, (s, t) in enumerate(pairs)
     )
-    subst = TriangularSubst.root(cfg.max_image_size, _FUEL_FACTOR * cfg.max_image_size)
+    subst = TriangularSubst.root(_MAX_IMAGE_SIZE, _FUEL_FACTOR * _MAX_IMAGE_SIZE)
     state = UnifState(constraints, subst, len(constraints))
     return state, search
 
@@ -745,11 +744,11 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
 
     The agenda holds two kinds of tasks in one round-robin queue: live
     states, which advance along deterministic transitions (at most
-    `pacing` per visit), and branch sources, lazy iterators that
+    `_PACING` per visit), and branch sources, lazy iterators that
     materialize one child per visit.  Every live branch is therefore
     revisited once per queue cycle, so a unifier at any finite depth is
     reached after finitely many pulls even when siblings spawn infinite
-    subtrees.  A None is yielded roughly every `pacing` transitions so
+    subtrees.  A None is yielded roughly every `_PACING` transitions so
     callers can meter work between unifiers."""
     agenda: deque = deque([root])
     pending = 0
@@ -775,7 +774,7 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
                 states = res.states
                 if isinstance(states, tuple):
                     task = states[0]
-                    if spent >= search.cfg.pacing:
+                    if spent >= _PACING:
                         agenda.append(task)
                         break
                     if search.steps_left <= 0:
@@ -791,7 +790,7 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
             if child is not _DONE:
                 agenda.append(child)
                 agenda.append(task)
-        if pending >= search.cfg.pacing:
+        if pending >= _PACING:
             pending = 0
             yield None
 

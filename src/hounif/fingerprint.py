@@ -25,15 +25,16 @@ equal the target?".  Both only ever report false when no substitution
 can reconcile the samples, so retrieval never loses a true candidate;
 it merely filters.
 
-Fingerprints of a term population live in a fixed-depth trie, one level
-per sampled position, so retrieval visits only compatible branches.
+A `FingerprintIndex` keeps the fingerprints of a term population in a
+trie, one level per sampled position, so retrieval visits only
+compatible branches.
 Retrievals are pure reads over a snapshot; concurrent readers are safe
 as long as no insert runs at the same time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import ParseError
@@ -236,43 +237,33 @@ def feature_match(query: Feature, target: Feature) -> bool:
     return isinstance(target, Sym) and query.sym == target.sym
 
 
-def compatible_unif(a: Fingerprint, b: Fingerprint) -> bool:
-    return len(a) == len(b) and all(feature_unif(x, y) for x, y in zip(a, b))
+# -------------------------------------------------------------------- index
 
 
-def compatible_match(query: Fingerprint, target: Fingerprint) -> bool:
-    return len(query) == len(target) and all(
-        feature_match(x, y) for x, y in zip(query, target)
-    )
+class FingerprintIndex:
+    """Fingerprints terms over a fixed position tuple and keeps them in a
+    trie with one level per position; leaves collect term ids."""
 
+    def __init__(self, positions: tuple[Position, ...] = DEFAULT_POSITIONS):
+        if not positions:
+            raise ValueError("need at least one sample position")
+        self._plan = _compile(tuple(tuple(p) for p in positions))
+        self._root: dict = {}
 
-# --------------------------------------------------------------------- trie
+    def fingerprint(self, t: Term) -> Fingerprint:
+        return _sample(t, self._plan)
 
-
-@dataclass
-class FingerprintTrie:
-    """Fixed-depth trie over fingerprints; leaves collect term ids."""
-
-    depth: int
-    _root: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("a fingerprint trie needs depth at least 1")
-
-    def insert(self, term_id, fingerprint: Fingerprint) -> None:
-        if len(fingerprint) != self.depth:
-            raise ValueError("fingerprint length does not match trie depth")
+    def insert(self, term_id, t: Term) -> Fingerprint:
+        f = self.fingerprint(t)
         node = self._root
-        for feat in fingerprint[:-1]:
+        for feat in f[:-1]:
             node = node.setdefault(feat, {})
-        node.setdefault(fingerprint[-1], set()).add(term_id)
+        node.setdefault(f[-1], set()).add(term_id)
+        return f
 
-    def _retrieve(self, fingerprint: Fingerprint, compat) -> set:
-        if len(fingerprint) != self.depth:
-            raise ValueError("fingerprint length does not match trie depth")
+    def _retrieve(self, query: Term, compat) -> set:
         nodes = [self._root]
-        for feat in fingerprint:
+        for feat in self.fingerprint(query):
             nodes = [
                 child
                 for node in nodes
@@ -284,38 +275,12 @@ class FingerprintTrie:
             found |= leaf
         return found
 
-    def retrieve_unifiable(self, fingerprint: Fingerprint) -> set:
-        return self._retrieve(fingerprint, feature_unif)
-
-    def retrieve_matching(self, fingerprint: Fingerprint) -> set:
-        """Ids of stored terms the query fingerprint may instantiate to."""
-        return self._retrieve(fingerprint, feature_match)
-
-
-class FingerprintIndex:
-    """Convenience wrapper: fingerprints terms over a fixed position
-    tuple and keeps them in a trie."""
-
-    def __init__(self, positions: tuple[Position, ...] = DEFAULT_POSITIONS):
-        if not positions:
-            raise ValueError("need at least one sample position")
-        self.positions = tuple(tuple(p) for p in positions)
-        self._plan = _compile(self.positions)
-        self.trie = FingerprintTrie(len(self.positions))
-
-    def fingerprint(self, t: Term) -> Fingerprint:
-        return _sample(t, self._plan)
-
-    def insert(self, term_id, t: Term) -> Fingerprint:
-        f = self.fingerprint(t)
-        self.trie.insert(term_id, f)
-        return f
-
     def retrieve_unifiable(self, query: Term) -> set:
-        return self.trie.retrieve_unifiable(self.fingerprint(query))
+        return self._retrieve(query, feature_unif)
 
     def retrieve_matching(self, query: Term) -> set:
-        return self.trie.retrieve_matching(self.fingerprint(query))
+        """Ids of stored terms the query may instantiate to."""
+        return self._retrieve(query, feature_match)
 
 
 # ---------------------------------------------------------------- positions
@@ -333,10 +298,6 @@ def parse_position(text: str) -> Position:
     if any(k < 1 for k in pos):
         raise ParseError(f"position steps are 1-based: {text!r}")
     return pos
-
-
-def print_position(pos: Position) -> str:
-    return "e" if not pos else ".".join(str(k) for k in pos)
 
 
 def parse_positions(text: str) -> tuple[Position, ...]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .errors import TypeMismatch
 from .terms import (
     App,
     Arrow,
@@ -354,14 +353,6 @@ def canonical(t: Term, fuel: Optional[Fuel] = None) -> Term:
     """The eta-long beta-normal representative of t's equivalence class;
     both passes draw on `fuel` when it is given."""
     return eta_long(beta_normal(t, fuel), fuel)
-
-
-def alpha_beta_eta_equal(s: Term, t: Term) -> bool:
-    """Equality modulo alpha, beta and eta (alpha is free with de Bruijn)."""
-    ts, tt = type_of(s), type_of(t)
-    if ts != tt:
-        raise TypeMismatch(f"{ts!r} vs {tt!r}")
-    return canonical(s) == canonical(t)
 
 
 def eta_expand_prefix(t: Term, target: int) -> Term:

@@ -83,12 +83,15 @@ def eta_bound_index(arg: Term) -> int | None:
     tys, body = strip_lams(arg)
     k = len(tys)
     head, args = spine(body)
-    if not isinstance(head, Bound) or head.index < k or len(args) != k:
+    if not isinstance(head, Bound) or head.index < k or not binders_in_order(args, k):
         return None
-    for j, a in enumerate(args):
-        if eta_bound_index(a) != k - 1 - j:
-            return None
     return head.index - k
+
+
+def binders_in_order(args: list[Term], n: int) -> bool:
+    """Are ``args`` the eta-long forms of the n binders around them, in
+    order, as in ``\\x1...xn. F x1 ... xn``?"""
+    return len(args) == n and all(eta_bound_index(a) == n - 1 - i for i, a in enumerate(args))
 
 
 from . import fixpoint, pattern, solid  # noqa: E402,F401  (populate the registry)

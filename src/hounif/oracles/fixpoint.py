@@ -17,19 +17,15 @@ from __future__ import annotations
 from ..normalize import Fuel, canonical  # noqa: F401  (perfbench/tracer.py wraps fixpoint.canonical)
 from ..subst import FreshSupply, Substitution
 from ..terms import Free, Lam, Term, spine, strip_lams
-from . import NotApplicable, NotUnifiable, Success, eta_bound_index, register
+from . import NotApplicable, NotUnifiable, Success, binders_in_order, register
 
 
 def _bare_var(t: Term) -> Free | None:
     """The free variable F if t is the eta-long form of bare F."""
     tys, body = strip_lams(t)
     head, args = spine(body)
-    if not isinstance(head, Free) or len(args) != len(tys):
+    if not isinstance(head, Free) or not binders_in_order(args, len(tys)):
         return None
-    n = len(tys)
-    for i, a in enumerate(args):
-        if eta_bound_index(a) != n - 1 - i:
-            return None
     return head
 
 

@@ -114,9 +114,9 @@ def _bind(F: Free, body: Term, fuel: Fuel) -> Substitution:
     return Substitution(((F, canonical(mk_lams(arg_types(F.ty), body), fuel)),))
 
 
-def _flex_same(
-    F: Free, us: list[int], vs: list[int], supply: FreshSupply, fuel: Fuel
-) -> Substitution:
+def same_head_mgu(F: Free, us: list, vs: list, supply: FreshSupply, fuel: Fuel) -> Substitution:
+    """The MGU of ``F us =?= F vs``: F keeps the argument positions where
+    both sides agree, through one fresh head."""
     tys = arg_types(F.ty)
     keep = [j for j in range(len(us)) if us[j] == vs[j]]
     fresh = supply.fresh(arrow([tys[j] for j in keep], result_type(F.ty)))
@@ -173,7 +173,7 @@ def unify_patterns(pairs, supply: FreshSupply, fuel: Fuel | None = None) -> Subs
                     (mk_lams(tys, a), mk_lams(tys, b)) for a, b in zip(sargs, targs)
                 )
             elif sflex and tflex and hs.id == ht.id:
-                rho = _flex_same(hs, _flex_args(sargs), _flex_args(targs), supply, fuel)
+                rho = same_head_mgu(hs, _flex_args(sargs), _flex_args(targs), supply, fuel)
                 sigma = compose(rho, sigma, fuel)
             elif sflex and tflex:
                 rho = _flex_diff(hs, _flex_args(sargs), ht, _flex_args(targs), supply, fuel)

@@ -51,7 +51,8 @@ from ..terms import (
     strip_lams,
     type_of,
 )
-from . import NotApplicable, Success, eta_bound_index, register
+from . import NotApplicable, Success, binders_in_order, eta_bound_index, register
+from .pattern import same_head_mgu
 
 _CAP = 1_000_000
 
@@ -196,7 +197,7 @@ class _PT:
         F, sargs = spine(sbody)
         rigid_head, targs = spine(tbody)
 
-        if self._solution_form(sargs, len(tys)) and F.id not in free_vars(t):
+        if binders_in_order(sargs, len(tys)) and F.id not in free_vars(t):
             rho = Substitution(((F, canonical(t, self.fuel)),))
             return [(rho, ())]
 
@@ -237,13 +238,6 @@ class _PT:
             out.append((rho, (child,)))
         return out
 
-    @staticmethod
-    def _solution_form(args, n: int) -> bool:
-        """Is the flex side exactly F applied to all enclosing binders?"""
-        if len(args) != n:
-            return False
-        return all(eta_bound_index(a) == n - 1 - i for i, a in enumerate(args))
-
     # ------------------------------------------------- flex-flex residue
 
     def matching_csu(self, flex: Term, ground: Term) -> list[Substitution]:
@@ -271,19 +265,11 @@ class _PT:
             if not (isinstance(F, Free) and isinstance(G, Free)):
                 raise InternalError("non flex-flex constraint in residue")
             if F.id == G.id:
-                rho = self._same_head_mgu(F, us, vs)
+                rho = same_head_mgu(F, us, vs, self.supply, self.fuel)
             else:
                 rho = self._diff_head_mgu(tys, F, us, G, vs)
             sigma = compose(rho, sigma, self.fuel)
         return sigma
-
-    def _same_head_mgu(self, F: Free, us, vs) -> Substitution:
-        f_tys = arg_types(F.ty)
-        m = len(f_tys)
-        keep = [j for j in range(m) if us[j] == vs[j]]
-        fresh = self.supply.fresh(arrow([f_tys[j] for j in keep], result_type(F.ty)))
-        body = mk_app(fresh, [Bound(m - 1 - j, f_tys[j]) for j in keep])
-        return Substitution(((F, canonical(mk_lams(f_tys, body), self.fuel)),))
 
     def _diff_head_mgu(self, tys, F: Free, us, G: Free, vs) -> Substitution:
         """The shared-variable construction: each argument u_i of F is
@@ -352,7 +338,7 @@ def solid_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
                 and hs[0].id == ht[0].id
                 and fvs.keys() == fvt.keys() == {hs[0].id}
             ):
-                rho = pt._same_head_mgu(hs[0], hs[1], ht[1])
+                rho = same_head_mgu(hs[0], hs[1], ht[1], supply, fuel)
                 return Success((_checked(rho, s, t, problem_ids, fuel),))
             return NotApplicable()
         if not (is_linear(s) or is_linear(t)):

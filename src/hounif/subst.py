@@ -172,8 +172,8 @@ _FRAMES_PER_LEVEL = 4
 
 
 def _measure(t: Term) -> tuple[frozenset[int], int, int, bool]:
-    """Free variable ids, size (as counted by `size`), height and whether
-    t is beta-normal, in one iterative walk."""
+    """Free variable ids, size (as `terms.size_within` counts it), height
+    and whether t is beta-normal, in one iterative walk."""
     fv: set[int] = set()
     count = height = 0
     normal = True

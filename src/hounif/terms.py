@@ -4,8 +4,6 @@ Terms are immutable and structurally shared.  Bound variables carry their
 type and a de Bruijn index (0 = innermost enclosing binder).  Free
 variables are identified by an interned integer id; display names live in
 a side table owned by whoever created the variable (see problem_io).
-
-The measure `size` is defined on beta-reduced terms.
 """
 
 from __future__ import annotations
@@ -263,7 +261,9 @@ def head_of(t: Term) -> Term:
 
 
 def mk_lams(tys, body: Term) -> Term:
-    for ty in reversed(tuple(tys)):
+    """Abstract `body` over binders of the given types, outermost first;
+    `tys` is a list or a tuple."""
+    for ty in reversed(tys):
         body = Lam(ty, body)
     return body
 
@@ -361,21 +361,11 @@ def free_vars(t: Term) -> dict[int, Free]:
 # ------------------------------------------------------------- measures
 
 
-def size(t: Term) -> int:
-    """Variables and constants count 1, an application adds the sizes of
-    both sides, a binder adds 1."""
-    match t:
-        case App(fn=f, arg=a):
-            return size(f) + size(a)
-        case Lam(body=u):
-            return 1 + size(u)
-        case _:
-            return 1
-
-
 def size_within(t: Term, bound: int) -> bool:
-    """size(t) <= bound, computed iteratively with early exit, so the cost
-    is O(min(size, bound)) and independent of term depth."""
+    """Is t's size at most `bound`?  Variables and constants count 1, an
+    application adds the sizes of both sides, a binder adds 1.  Computed
+    iteratively with early exit, so the cost is O(min(size, bound)) and
+    independent of term depth."""
     count = 0
     stack = [t]
     while stack:

@@ -33,7 +33,6 @@ from hounif.terms import (
     mk_app,
     mk_lams,
     result_type,
-    size,
     type_of,
 )
 
@@ -172,6 +171,19 @@ def gen_term(
     distinct bound variables, "solid" = bound variables or variable-free
     first-order terms, "ground" = no free variables at all."""
     return canonical(_gen_open(rng, ty, (), depth, mode, tuple(frees)))
+
+
+def size(t: Term) -> int:
+    """Variables and constants count 1, an application adds the sizes of
+    both sides, a binder adds 1: the recursive reference for
+    `terms.size_within`."""
+    match t:
+        case App(fn=f, arg=a):
+            return size(f) + size(a)
+        case Lam(body=u):
+            return 1 + size(u)
+        case _:
+            return 1
 
 
 def gen_sized(rng, ty, mode="any", frees=(), max_size=8, depth=3) -> Term:

@@ -21,20 +21,14 @@ from termgen import (
     subst_key,
 )
 from hounif.engine import EngineConfig, prepare, solve, step, verify_unifier
-from hounif.fingerprint import (
-    DEFAULT_POSITIONS,
-    FingerprintIndex,
-    N,
-    Sym,
-    compatible_unif,
-    fp_ho,
-)
+from hounif.fingerprint import DEFAULT_POSITIONS, FingerprintIndex, N, Sym, fp_ho
 from hounif.normalize import Fuel, canonical
 from hounif.oracles import NotApplicable, NotUnifiable, Success
 from hounif.oracles import resolve as _resolve
 from hounif.subst import FreshSupply, Substitution
 from hounif.terms import App, Bound, Const, Free, Lam, arrow, free_vars, mk_app, type_of
 from test_engine import applicable_rules
+from test_fingerprint import compatible_unif
 
 a = Const("a", I)
 b = Const("b", I)

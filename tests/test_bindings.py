@@ -41,21 +41,18 @@ O = Base("o")  # a second base type, for result-type mismatches
 
 def _well_formed(binding):
     """Every binding yields a valid substitution with closed, well-typed,
-    canonical-ready images; the fresh variables are exactly the new ones."""
+    canonical-ready images."""
     sigma = binding.as_subst()  # constructor validates types/closure
-    new_ids = set()
     for var, image in binding.entries:
         assert is_closed(image)
         assert type_of(image) == var.ty
-        new_ids |= free_vars(image).keys() - {var.id}
-    assert new_ids <= {v.id for v in binding.fresh}
     return sigma
 
 
 def test_jp_projection_golden():
     F = Free(1, arrow([I, I], I))
     b = jp_projection(F, 2)
-    assert b.kind == "jp_projection" and b.fresh == ()
+    assert b.kind == "jp_projection"
     assert b.entries == ((F, mk_lams([I, I], Bound(0, I))),)
     assert jp_projection(F, 1).entries == ((F, mk_lams([I, I], Bound(1, I))),)
     # argument of the wrong type: no binding
@@ -70,7 +67,7 @@ def test_huet_projection_golden():
     s = FreshSupply(10)
     b = huet_projection(F, 1, s)
     (var, image), = b.entries
-    H = b.fresh[0]
+    H, = free_vars(image).values()
     assert H.id == 10 and H.ty == arrow([II, I], I)
     assert image == mk_lams(
         [II, I], App(Bound(1, II), mk_app(H, [Bound(1, II), Bound(0, I)]))
@@ -78,7 +75,7 @@ def test_huet_projection_golden():
     _well_formed(b)
     # base-type argument: collapses to the jp form
     b2 = huet_projection(F, 2, FreshSupply(10))
-    assert b2.entries == ((F, mk_lams([II, I], Bound(0, I))),) and b2.fresh == ()
+    assert b2.entries == ((F, mk_lams([II, I], Bound(0, I))),)
 
 
 def test_imitation_golden():
@@ -86,7 +83,7 @@ def test_imitation_golden():
     s = FreshSupply(7)
     b = imitation(F, g, s)
     (var, image), = b.entries
-    F1, F2 = b.fresh
+    F1, F2 = free_vars(image).values()
     assert F1.ty == F2.ty == arrow([I], I)
     assert image == Lam(
         I, mk_app(g, [App(F1, Bound(0, I)), App(F2, Bound(0, I))])
@@ -102,7 +99,7 @@ def test_elimination_golden():
     s = FreshSupply(5)
     b = elimination(F, (1, 3), s)
     (var, image), = b.entries
-    G = b.fresh[0]
+    G, = free_vars(image).values()
     assert G.sort == ELIMINATION
     assert G.ty == arrow([I, I], I)
     assert image == mk_lams(
@@ -123,12 +120,11 @@ def test_identification_golden():
     G = Free(2, arrow([I, I], I))
     s = FreshSupply(20)
     b = identification(F, G, s)
-    H = b.fresh[0]
+    imgs = dict((v.id, img) for v, img in b.entries)
+    H, F1, F2 = free_vars(imgs[1]).values()  # F1, F2: one per G-argument
     assert H.sort == IDENTIFICATION
     assert H.ty == arrow([I, I, I], I)
-    imgs = dict((v.id, img) for v, img in b.entries)
-    F1, F2 = b.fresh[1:3]  # fresh args on F's side (one per G-argument)
-    G1 = b.fresh[3]
+    _, G1 = free_vars(imgs[2]).values()
     x = Bound(0, I)
     assert imgs[1] == Lam(
         I, mk_app(H, [x, App(F1, x), App(F2, x)])
@@ -148,7 +144,7 @@ def test_iteration_golden():
     s = FreshSupply(30)
     b = iteration(F, 1, (I,), s)
     (var, image), = b.entries
-    H, G1 = b.fresh
+    H, G1 = free_vars(image).values()
     assert H.ty == arrow([II, arrow([I], I)], I)
     assert G1.ty == arrow([II, I], I)
     x = Bound(0, II)

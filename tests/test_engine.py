@@ -10,7 +10,7 @@ import pytest
 
 import termgen
 from termgen import I, II, III, assert_verifies, gen_pair, make_frees, subst_key
-from hounif import engine, normalize, oracles
+from hounif import bindings, engine, normalize, oracles
 from hounif.engine import (
     EngineConfig,
     Limits,
@@ -21,7 +21,7 @@ from hounif.engine import (
 )
 from hounif.errors import TypeMismatch
 from hounif.problem_io import parse_problem
-from hounif.subst import Substitution, TriangularSubst
+from hounif.subst import FreshSupply, Substitution, TriangularSubst
 from hounif.terms import (
     App,
     Bound,
@@ -395,12 +395,12 @@ def test_constraint_values_are_the_four_fields():
     F = Free(0, II)
     s, t = App(F, a), App(f, a)
     c = engine.Constraint(s, t, 3)
-    other_views = engine.Constraint(s, t, 3, engine.Counters(), ([], a, []), ([], b, []))
+    other_views = engine.Constraint(s, t, 3, engine.NO_BINDINGS, ([], a, []), ([], b, []))
     assert c == other_views and hash(c) == hash(other_views)
     assert repr(c) == repr(other_views) == f"{s!r} =?= {t!r}"
-    bumped = c.with_counters(engine.Counters(total=1))
+    bumped = c.with_counters(Limits(1, 0, 0, 0, 0))
     assert c != bumped and c != engine.Constraint(s, t, 4) and c != engine.Constraint(t, s, 3)
-    assert c == engine.Constraint(s, t, 3, engine.Counters(total=0))
+    assert c == engine.Constraint(s, t, 3, Limits(0, 0, 0, 0, 0))
 
 
 def test_constraint_copies_share_the_views_of_kept_sides():
@@ -701,6 +701,25 @@ def test_oracle_out_of_fuel_falls_through_to_the_next(monkeypatch):
     assert rule == "oracle_fail" and len(calls) == 1  # fixpoint refuted it
 
 
+def test_oracle_size_cap_skips_the_oracles(monkeypatch):
+    state, search = _occurs_cycle(("fixpoint",))
+    assert applicable_rules(state, search) == ["oracle"]
+    monkeypatch.setattr(engine, "_ORACLE_SIZE_CAP", 1)  # f G has size 2
+    assert applicable_rules(state, search) == ["bind"]
+
+
+def test_image_size_cap_ends_the_stream_in_a_budget_stop(monkeypatch):
+    # at the default cap criterion 9 ends at pull 746, on the depth guard
+    monkeypatch.setattr(engine, "_MAX_IMAGE_SIZE", 50)
+    pairs, cfg, _ = _pinned_problems()["criterion9"]
+    st = solve(pairs, cfg)
+    got = st.unifiers(max_pulls=10_000)
+    assert st.status == "budget" and st.pulls < 746 // 4
+    assert got
+    for sigma in got:
+        assert verify_unifier(pairs, sigma)
+
+
 def test_oracles_get_what_the_phase_canonicalization_left(monkeypatch):
     seen = []
 
@@ -723,7 +742,7 @@ def test_oracles_get_what_the_phase_canonicalization_left(monkeypatch):
     normalize.canonical(c.lhs, shared)
     normalize.canonical(c.rhs, shared)
     assert min(cost) > 0 and shared.left == 1_000 - sum(cost)
-    phase = engine._FUEL_FACTOR * search.cfg.oracle_size_cap
+    phase = engine._FUEL_FACTOR * engine._ORACLE_SIZE_CAP
     assert seen == [phase - sum(cost)] * 2
 
 
@@ -804,6 +823,11 @@ def test_unknown_variant_rejected():
     with pytest.raises(ValueError, match="pragmatc"):
         EngineConfig(variant="pragmatc")
     assert EngineConfig(variant="pragmatic").variant == "pragmatic"
+    # the pragmatic limits: their defaults, and the CLI's spelling
+    assert Limits() == EngineConfig().limits == (4, 2, 2, 2, 2)
+    assert Limits.parse("1,0,1,1,1") == (1, 0, 1, 1, 1)
+    with pytest.raises(ValueError, match="five integers"):
+        Limits.parse("4,2,2,2")
 
 
 def test_budget_status():
@@ -891,6 +915,29 @@ def test_pragmatic_zero_limits_projections_stay_available():
     assert st.unifiers(max_pulls=1_000) == []
     assert st.status == "non-unifiable"
     assert st.stats.get("bind_huet_projection", 0) >= 1
+    # each binding kind's delta, added to a fresh constraint's tally five
+    # times: how many of those tallies stay within the default limits and
+    # within zero limits (as the separate tally record gave them)
+    F4 = Free(1, arrow([II, I, I, I], I))
+    supply = FreshSupply(10)
+    kinds = {
+        "imitation": (bindings.imitation(F4, g, supply), 2, 0),
+        "identification": (bindings.identification(F4, Free(2, II), supply), 2, 0),
+        "elimination of 3": (bindings.elimination(F4, (1,), supply), 0, 0),
+        "elimination of 1": (bindings.elimination(F4, (1, 2, 3), supply), 2, 0),
+        "functional projection": (bindings.huet_projection(F4, 1, supply), 2, 0),
+        "base-type projection": (bindings.huet_projection(F4, 2, supply), 5, 5),
+        "jp projection": (bindings.jp_projection(F4, 2), 5, 5),
+        "iteration": (bindings.iteration(F4, 1, (I,), supply), 4, 0),
+    }
+    for kind, (binding, within_default, within_zero) in kinds.items():
+        delta = engine._binding_delta(binding)
+        tallies = list(itertools.accumulate([delta] * 5, Limits.add, initial=engine.NO_BINDINGS))
+        assert tallies[0] == (0, 0, 0, 0, 0)
+        assert [t.within(Limits()) for t in tallies[1:]] == [
+            i < within_default for i in range(5)], kind
+        assert [t.within(cfg.limits) for t in tallies[1:]] == [
+            i < within_zero for i in range(5)], kind
 
 
 def test_pragmatic_zero_limits_flex_rigid_gives_up():

@@ -7,9 +7,7 @@ import pytest
 import termgen
 from termgen import I, II, gen_term, is_beta_normal, make_frees, nbe
 from hounif import normalize
-from hounif.errors import TypeMismatch
 from hounif.normalize import (
-    alpha_beta_eta_equal,
     beta_normal,
     canonical,
     eta_expand_prefix,
@@ -124,23 +122,6 @@ def test_canonical_matches_independent_normalizer():
         c = canonical(t)
         assert c == nbe(t, ty)
         assert canonical(c) == c  # idempotent
-
-
-def test_alpha_beta_eta_equal_is_congruent_with_nbe():
-    rng = random.Random(13)
-    frees = make_frees(rng, 3, 100)
-    for _ in range(600):
-        ty = termgen.rand_type(rng)
-        t = gen_term(rng, ty, depth=2, frees=frees)
-        s = gen_term(rng, ty, depth=2, frees=frees)
-        assert alpha_beta_eta_equal(s, t) == (nbe(s, ty) == nbe(t, ty))
-        # two obfuscations of one term are always equal
-        assert alpha_beta_eta_equal(obfuscate(rng, t), obfuscate(rng, t))
-
-
-def test_alpha_beta_eta_equal_rejects_type_mismatch():
-    with pytest.raises(TypeMismatch):
-        alpha_beta_eta_equal(a, f)
 
 
 def test_eta_long_golden():

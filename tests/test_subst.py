@@ -6,7 +6,7 @@ import random
 import pytest
 
 import termgen
-from termgen import I, II, III, gen_term, nbe
+from termgen import I, II, III, gen_term, nbe, size
 from hounif import bindings
 from hounif.errors import IdempotenceViolation, IllTyped
 from hounif.normalize import beta_normal, canonical
@@ -29,7 +29,6 @@ from hounif.terms import (
     arrow,
     free_vars,
     mk_app,
-    size,
     type_of,
 )
 

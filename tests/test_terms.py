@@ -6,7 +6,7 @@ import random
 import pytest
 
 import termgen
-from termgen import I, II, III, gen_sized, make_frees
+from termgen import I, II, III, gen_sized, make_frees, size
 from hounif.engine import signature_types
 from hounif.errors import IllTyped
 from hounif.terms import (
@@ -29,7 +29,6 @@ from hounif.terms import (
     mk_lams,
     result_type,
     shift,
-    size,
     size_within,
     spine,
     strip_lams,
