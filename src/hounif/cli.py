@@ -191,9 +191,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser, head normalization's `instantiate` and `shift`, and
-        # the printers recurse once per level of term nesting; type
-        # checking, beta normalization and eta expansion do not
+        # the parser and the printers recurse once per level of term
+        # nesting, and type hashing and comparison once per argument of
+        # a type; solving and verifying do not recurse on term depth
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -483,11 +483,12 @@ _PACING = 8
 #: nodes is abandoned (and the truncation reported as a budget stop);
 #: bindings that duplicate arguments can otherwise double the state size
 #: on every transition, making a single step arbitrarily expensive.
-#: The same stop applies to a resolved image deeper than head
-#: normalization's `instantiate` and `shift`, which still recurse, allow
-#: at the interpreter's recursion limit, or one whose beta normalization
-#: needs more than `_FUEL_FACTOR` reduction units per node of this cap.
+#: The same stop applies to an image whose beta normalization needs more
+#: than `_FUEL_FACTOR` reduction units per node of this cap.
 _MAX_IMAGE_SIZE = 2_000
+
+#: the same stop for a resolved image higher than this
+_MAX_IMAGE_DEPTH = 250
 
 #: constraints larger than this skip the oracle phase (oracles have to
 #: fully normalize both sides up front, which is the one place a huge
@@ -734,7 +735,9 @@ def prepare(pairs, cfg: EngineConfig) -> tuple[UnifState, Search]:
     constraints = tuple(
         Constraint.make(s, t, seq) for seq, (s, t) in enumerate(pairs)
     )
-    subst = TriangularSubst.root(_MAX_IMAGE_SIZE, _FUEL_FACTOR * _MAX_IMAGE_SIZE)
+    subst = TriangularSubst.root(
+        _MAX_IMAGE_SIZE, _FUEL_FACTOR * _MAX_IMAGE_SIZE, _MAX_IMAGE_DEPTH
+    )
     state = UnifState(constraints, subst, len(constraints))
     return state, search
 

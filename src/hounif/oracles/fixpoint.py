@@ -33,8 +33,9 @@ def _occurrences(t: Term, var_id: int) -> list[tuple[int, bool]]:
     """All occurrences of the variable as (argument count, whether every
     proper prefix of the occurrence has a rigid head)."""
     out: list[tuple[int, bool]] = []
-
-    def walk(sub: Term, rigid_path: bool) -> None:
+    stack = [(t, True)]
+    while stack:
+        sub, rigid_path = stack.pop()
         tys, body = strip_lams(sub)
         head, args = spine(body)
         if isinstance(head, Free) and head.id == var_id:
@@ -44,10 +45,7 @@ def _occurrences(t: Term, var_id: int) -> list[tuple[int, bool]]:
             below = False
         else:
             below = rigid_path and not isinstance(head, Free)
-        for a in args:
-            walk(a, below)
-
-    walk(t, True)
+        stack.extend((a, below) for a in reversed(args))
     return out
 
 

@@ -16,7 +16,6 @@ from ..normalize import Fuel, canonical
 from ..subst import FreshSupply, Substitution, compose
 from ..terms import (
     Bound,
-    Const,
     Free,
     Term,
     arg_types,
@@ -73,41 +72,49 @@ def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply, fue
     position mentions an unmapped prefix variable or F itself, and _Prune
     when an inner variable must first drop some arguments."""
     m = arity(F.ty)
-
-    def go(u: Term, depth: int) -> Term:
+    out: list[Term] = []
+    # (subterm, binder depth) visits in preorder, and (binders, head,
+    # argument count) builds once the arguments are in `out`
+    todo: list = [(t_body, 0)]
+    while todo:
+        frame = todo.pop()
+        if len(frame) == 3:
+            tys, head, n = frame
+            args = out[len(out) - n:]
+            del out[len(out) - n:]
+            out.append(mk_lams(tys, mk_app(head, args)))
+            continue
+        u, depth = frame
         tys, body = strip_lams(u)
         d = depth + len(tys)
         head, args = spine(body)
-        if isinstance(head, Const):
-            return mk_lams(tys, mk_app(head, [go(a, d) for a in args]))
         if isinstance(head, Bound):
             if head.index >= d:
                 r = head.index - d
                 if r not in inv:
                     raise _Clash
                 head = Bound(m - 1 - inv[r] + d, head.ty)
-            return mk_lams(tys, mk_app(head, [go(a, d) for a in args]))
-        # flexible head
-        if head.id == F.id:
-            raise _Clash  # occurs check
-        keep = []
-        for pos, a in enumerate(args):
-            ai = eta_bound_index(a)
-            if ai < d or (ai - d) in inv:
-                keep.append(pos)
-        if len(keep) == len(args):
-            return mk_lams(tys, mk_app(head, [go(a, d) for a in args]))
-        g_tys = arg_types(head.ty)
-        narrowed = supply.fresh(
-            arrow([g_tys[p] for p in keep], result_type(head.ty))
-        )
-        image = mk_lams(
-            g_tys,
-            mk_app(narrowed, [Bound(len(g_tys) - 1 - p, g_tys[p]) for p in keep]),
-        )
-        raise _Prune(Substitution(((head, canonical(image, fuel)),)))
-
-    return go(t_body, 0)
+        elif isinstance(head, Free):
+            if head.id == F.id:
+                raise _Clash  # occurs check
+            keep = []
+            for pos, a in enumerate(args):
+                ai = eta_bound_index(a)
+                if ai < d or (ai - d) in inv:
+                    keep.append(pos)
+            if len(keep) != len(args):
+                g_tys = arg_types(head.ty)
+                narrowed = supply.fresh(
+                    arrow([g_tys[p] for p in keep], result_type(head.ty))
+                )
+                image = mk_lams(
+                    g_tys,
+                    mk_app(narrowed, [Bound(len(g_tys) - 1 - p, g_tys[p]) for p in keep]),
+                )
+                raise _Prune(Substitution(((head, canonical(image, fuel)),)))
+        todo.append((tys, head, len(args)))
+        todo.extend((a, d) for a in reversed(args))
+    return out[0]
 
 
 def _bind(F: Free, body: Term, fuel: Fuel) -> Substitution:

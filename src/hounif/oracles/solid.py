@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..bindings import Binding, huet_projection, imitation
 from ..errors import InternalError
 from ..normalize import Fuel, canonical
 from ..subst import FreshSupply, Substitution, compose
@@ -41,7 +42,6 @@ from ..terms import (
     Free,
     Term,
     arg_types,
-    arity,
     arrow,
     free_vars,
     mk_app,
@@ -83,17 +83,16 @@ def is_solid(t: Term) -> bool:
 def is_linear(t: Term) -> bool:
     """Does no free variable occur twice?"""
     seen: set[int] = set()
-
-    def walk(u: Term) -> bool:
-        _, body = strip_lams(u)
+    stack = [t]
+    while stack:
+        _, body = strip_lams(stack.pop())
         head, args = spine(body)
         if isinstance(head, Free):
             if head.id in seen:
                 return False
             seen.add(head.id)
-        return all(walk(a) for a in args)
-
-    return walk(t)
+        stack.extend(reversed(args))
+    return True
 
 
 # ------------------------------------------------------------------ PT
@@ -201,15 +200,9 @@ class _PT:
             rho = Substitution(((F, canonical(t, self.fuel)),))
             return [(rho, ())]
 
-        m = arity(F.ty)
-        f_tys = arg_types(F.ty)
-        xs = [Bound(m - 1 - k, f_tys[k]) for k in range(m)]
         out = []
         if isinstance(rigid_head, Const):
-            g_tys = arg_types(rigid_head.ty)
-            fresh = [self.supply.fresh(arrow(f_tys, gt)) for gt in g_tys]
-            image = mk_lams(f_tys, mk_app(rigid_head, [mk_app(g, xs) for g in fresh]))
-            rho = Substitution(((F, canonical(image, self.fuel)),))
+            image, fresh = self._bound(imitation(F, rigid_head, self.supply))
             children = tuple(
                 (
                     canonical(mk_lams(tys, mk_app(g, sargs)), self.fuel),
@@ -218,25 +211,26 @@ class _PT:
                 )
                 for g, ti in zip(fresh, targs)
             )
-            out.append((rho, children))
-        base = type_of(sbody)
+            out.append((Substitution(((F, image),)), children))
         for i, u in enumerate(sargs):
-            u_ty = type_of(u)
-            if result_type(u_ty) != base:
+            b = huet_projection(F, i + 1, self.supply)
+            if b is None:  # u does not return F's result type
                 continue
-            j_tys = arg_types(u_ty)
-            fresh = [self.supply.fresh(arrow(f_tys, jt)) for jt in j_tys]
-            image = mk_lams(
-                f_tys, mk_app(Bound(m - 1 - i, f_tys[i]), [mk_app(g, xs) for g in fresh])
-            )
-            rho = Substitution(((F, canonical(image, self.fuel)),))
+            image, fresh = self._bound(b)
             child = (
                 canonical(mk_lams(tys, mk_app(u, [mk_app(g, sargs) for g in fresh])), self.fuel),
                 canonical(mk_lams(tys, tbody), self.fuel),
-                tag or not j_tys,
+                tag or not fresh,
             )
-            out.append((rho, (child,)))
+            out.append((Substitution(((F, image),)), (child,)))
         return out
+
+    def _bound(self, binding: Binding) -> tuple[Term, list[Free]]:
+        """The canonical image of a one-variable binding, and its fresh
+        helper variables in the order they were drawn."""
+        (_, image), = binding.entries
+        image = canonical(image, self.fuel)
+        return image, list(free_vars(image).values())
 
     # ------------------------------------------------- flex-flex residue
 

@@ -32,7 +32,7 @@ auxiliaries; problem files may not declare names starting with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import DeclError, ParseError
 from .normalize import canonical
@@ -47,6 +47,7 @@ from .terms import (
     Lam,
     Term,
     Type,
+    free_vars,
     spine,
     type_of,
 )
@@ -378,20 +379,6 @@ def print_problem(problem: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _free_occurrences(t: Term) -> Iterator[Free]:
-    """Free variables in left-to-right preorder (with repeats)."""
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Free):
-            yield u
-        elif isinstance(u, Lam):
-            stack.append(u.body)
-        elif isinstance(u, App):
-            stack.append(u.arg)
-            stack.append(u.fn)
-
-
 def print_unifier(sigma: Substitution, problem: Problem) -> str:
     """Deterministic text for a unifier of the problem's goals: auxiliary
     variable declarations first, then one mapping line per problem
@@ -408,7 +395,7 @@ def print_unifier(sigma: Substitution, problem: Problem) -> str:
         return "identity\n"
     aux: dict[int, tuple[str, Free]] = {}
     for _, image in mapped:
-        for v in _free_occurrences(image):
+        for v in free_vars(image).values():
             if v.id not in names and v.id not in aux:
                 aux[v.id] = (f"{AUX_PREFIX}{len(aux) + 1}", v)
     all_names = dict(names)

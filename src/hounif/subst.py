@@ -10,25 +10,24 @@ The engine's state substitution is a `TriangularSubst`: the branch
 substitutions in the order they were applied, with each variable's image
 under their composition resolved on demand by hereditary substitution
 and memoized, instead of an eagerly composed `Substitution`.  Resolution
-and `compose` normalize with the one beta pass, `normalize.hereditary`.
+and `compose` normalize with the one beta pass, `normalize.hereditary`;
+the caller's size, depth and fuel caps are the only bounds on an image.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Iterator, Optional
 
 from .errors import IdempotenceViolation, IllTyped
 from .normalize import Fuel, ReductionBudget, beta_normal, hereditary
 from .terms import (
-    App,
     Free,
-    Lam,
     PLAIN,
     Term,
     Type,
     free_vars,
     is_closed,
+    rebuild,
     type_of,
 )
 
@@ -94,39 +93,17 @@ class Substitution:
         """Replace every mapped free variable by its image.
 
         The result is not reduced; callers normalize when they need to.
+        A subterm with no mapped variable comes back as the same object.
         """
-        if not self._map:
-            return t
-        return self._apply(t)
-
-    def _apply(self, t: Term) -> Term:
-        """Iterative post-order rebuild; a subterm with no mapped variable
-        comes back as the same object."""
         m = self._map
-        done: list[Term] = []
-        todo: list = [t]
-        while todo:
-            u = todo.pop()
-            cls = type(u)
-            if cls is App:
-                todo += ((u,), u.arg, u.fn)
-            elif cls is Lam:
-                todo += ((u,), u.body)
-            elif cls is tuple:  # the children of u[0] are done
-                u = u[0]
-                if type(u) is App:
-                    a = done.pop()
-                    f = done.pop()
-                    done.append(u if f is u.fn and a is u.arg else App(f, a))
-                else:
-                    b = done.pop()
-                    done.append(u if b is u.body else Lam(u.binder, b))
-            elif cls is Free:
-                entry = m.get(u.id)
-                done.append(entry[1] if entry else u)
-            else:
-                done.append(u)
-        return done[0]
+        if not m:
+            return t
+
+        def image(u: Free, depth: int) -> Term:
+            entry = m.get(u.id)
+            return entry[1] if entry else u
+
+        return rebuild(t, Free, image)
 
     # -- algebra -------------------------------------------------------
 
@@ -163,41 +140,6 @@ class Overgrown(Exception):
     """A resolved image went past the size, depth or reduction-fuel guard."""
 
 
-#: stack frames per level of term depth allowed for the term traversals
-#: that still recurse (head normalization's `instantiate` and `shift`): a
-#: resolved image deeper than the recursion limit divided by this is
-#: refused, so that every image the engine keeps can still be
-#: head-normalized.
-_FRAMES_PER_LEVEL = 4
-
-
-def _measure(t: Term) -> tuple[frozenset[int], int, int, bool]:
-    """Free variable ids, size (as `terms.size_within` counts it), height
-    and whether t is beta-normal, in one iterative walk."""
-    fv: set[int] = set()
-    count = height = 0
-    normal = True
-    stack = [(t, 0)]
-    while stack:
-        u, d = stack.pop()
-        cls = type(u)
-        if cls is App:  # the App node itself counts 0
-            if type(u.fn) is Lam:
-                normal = False
-            stack.append((u.fn, d + 1))
-            stack.append((u.arg, d + 1))
-            continue
-        count += 1
-        if cls is Lam:
-            stack.append((u.body, d + 1))
-            continue
-        if d > height:
-            height = d
-        if cls is Free:
-            fv.add(u.id)
-    return frozenset(fv), count, height, normal
-
-
 #: a resolved image: (variable, image, free variable ids of the image)
 _Entry = tuple[Free, Term, frozenset[int]]
 
@@ -216,12 +158,13 @@ class TriangularSubst:
     the result, so descendants and siblings reuse it; an unbound variable
     is memoized as None.
 
-    Images stay beta-normal: a node normalizes an image of its rho that is
-    not, and each step down substitutes rho's images into the image by
-    hereditary substitution, which contracts only the redexes it creates
-    and measures the result as it builds it.  Both run the one beta pass
-    on a fresh `Fuel` of the guard's units.  An image over the size or
-    depth cap, or one that needs more than that fuel, raises Overgrown.
+    Images stay beta-normal: a node takes each image of its rho through
+    the hereditary pass with nothing substituted, which normalizes it
+    unless it is beta-normal already, and each step down substitutes rho's
+    images into the image by hereditary substitution, which contracts only
+    the redexes it creates.  Both measure what they build and run on a
+    fresh `Fuel` of the guard's units.  An image over the size or depth
+    cap, or one that needs more than that fuel, raises Overgrown.
     """
 
     __slots__ = ("parent", "rho", "top", "guard", "_memo", "_images")
@@ -240,23 +183,21 @@ class TriangularSubst:
         #: var id -> rho's image of it, as a value of the hereditary pass
         self._images: dict[int, tuple[Term, int, int, int]] = {}
         for var, image in rho.items():
-            fv, size, height, normal = _measure(image)
-            if not normal:
-                try:
-                    image = beta_normal(image, Fuel(fuel))
-                except ReductionBudget:
-                    raise Overgrown from None
-                fv, size, height, _ = _measure(image)
+            try:
+                value, _ = hereditary(image, {}, Fuel(fuel))
+            except ReductionBudget:
+                raise Overgrown from None
+            image, size, height, _ = value
             if size > max_size or height > max_depth:
                 raise Overgrown
-            self._memo[var.id] = (var, image, fv)
-            self._images[var.id] = (image, size, height, 0)
+            self._memo[var.id] = (var, image, frozenset(free_vars(image)))
+            self._images[var.id] = value
 
     @classmethod
-    def root(cls, max_size: int, fuel: int) -> "TriangularSubst":
+    def root(cls, max_size: int, fuel: int, max_depth: int) -> "TriangularSubst":
         """The empty substitution; resolved images may have at most
-        max_size nodes and cost at most `fuel` reduction units each."""
-        max_depth = sys.getrecursionlimit() // _FRAMES_PER_LEVEL
+        max_size nodes, a height of at most max_depth, and cost at most
+        `fuel` reduction units each."""
         return cls(None, IDENTITY, -1, (max_size, fuel, max_depth))
 
     def extend(self, rho: Substitution) -> "TriangularSubst":

@@ -285,38 +285,57 @@ def bvars(n: int, tys) -> list[Term]:
 # ------------------------------------------------------ de Bruijn plumbing
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add `by` to every loose index >= cutoff.
+def rebuild(t: Term, kind: type, leaf) -> Term:
+    """t with each leaf u of class `kind` (Free or Bound) replaced by
+    leaf(u, d), d being the number of binders above u.  Iterative; a
+    subterm in which no leaf changes comes back as the same object."""
+    done: list[Term] = []
+    todo: list = [t]
+    depth = 0
+    while todo:
+        u = todo.pop()
+        cls = type(u)
+        if cls is App:
+            todo += ((u,), u.arg, u.fn)
+        elif cls is Lam:
+            todo += ((u,), u.body)
+            depth += 1
+        elif cls is tuple:  # the children of u[0] are done
+            u = u[0]
+            if type(u) is App:
+                a = done.pop()
+                f = done.pop()
+                done.append(u if f is u.fn and a is u.arg else App(f, a))
+            else:  # a body is rebuilt whole between its binder's visits
+                depth -= 1
+                b = done.pop()
+                done.append(u if b is u.body else Lam(u.binder, b))
+        elif cls is kind:
+            done.append(leaf(u, depth))
+        else:
+            done.append(u)
+    return done[0]
 
-    Like `type_of`, dispatches on the exact class: a class pattern costs
-    more than the work done at a leaf."""
-    cls = type(t)
-    if cls is Bound:
-        return Bound(t.index + by, t.ty) if t.index >= cutoff else t
-    if cls is App:
-        return App(shift(t.fn, by, cutoff), shift(t.arg, by, cutoff))
-    if cls is Lam:
-        return Lam(t.binder, shift(t.body, by, cutoff + 1))
-    return t
+
+def shift(t: Term, by: int, cutoff: int = 0) -> Term:
+    """Add `by` to every loose index >= cutoff."""
+
+    def leaf(u: Bound, depth: int) -> Term:
+        return Bound(u.index + by, u.ty) if u.index >= cutoff + depth else u
+
+    return rebuild(t, Bound, leaf)
 
 
 def instantiate(body: Term, arg: Term) -> Term:
     """Contract one beta redex: replace index 0 of `body` by `arg`."""
 
-    def go(t: Term, depth: int) -> Term:
-        cls = type(t)
-        if cls is Bound:
-            i = t.index
-            if i == depth:
-                return shift(arg, depth)
-            return Bound(i - 1, t.ty) if i > depth else t
-        if cls is App:
-            return App(go(t.fn, depth), go(t.arg, depth))
-        if cls is Lam:
-            return Lam(t.binder, go(t.body, depth + 1))
-        return t
+    def leaf(u: Bound, depth: int) -> Term:
+        i = u.index
+        if i == depth:
+            return shift(arg, depth)
+        return Bound(i - 1, u.ty) if i > depth else u
 
-    return go(body, 0)
+    return rebuild(body, Bound, leaf)
 
 
 def loose_bound_ids(t: Term) -> set[int]:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -718,6 +719,39 @@ def test_image_size_cap_ends_the_stream_in_a_budget_stop(monkeypatch):
     assert got
     for sigma in got:
         assert verify_unifier(pairs, sigma)
+
+
+def test_image_depth_cap_ends_the_stream_in_a_budget_stop(monkeypatch):
+    # each unifier of criterion 9 is one layer deeper than the last, so a
+    # cap of 50 levels ends the stream after 49 of them
+    monkeypatch.setattr(engine, "_MAX_IMAGE_DEPTH", 50)
+    pairs, cfg, _ = _pinned_problems()["criterion9"]
+    st = solve(pairs, cfg)
+    got = st.unifiers(max_pulls=10_000)
+    assert st.status == "budget" and st.pulls < 746 // 4
+    assert len(got) == 49
+    for sigma in got:
+        assert verify_unifier(pairs, sigma)
+
+
+def test_criterion9_stream_ignores_the_recursion_limit():
+    # the depth cap is an engine constant, not a share of the interpreter's
+    # recursion limit: the stream ends at the same budget stop either way
+    pairs, cfg, problem_vars = _pinned_problems()["criterion9"]
+    records = []
+    old = sys.getrecursionlimit()
+    for limit in (old, 3_000):
+        sys.setrecursionlimit(limit)
+        try:
+            lines, pulls, status, stats = _stream_record(
+                pairs, cfg, problem_vars, max_pulls=10_000
+            )
+        finally:
+            sys.setrecursionlimit(old)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        records.append((len(lines), digest, pulls, status, stats))
+    assert records[0] == records[1]
+    assert records[0][0] == 249 and records[0][2:4] == (746, "budget")
 
 
 def test_oracles_get_what_the_phase_canonicalization_left(monkeypatch):

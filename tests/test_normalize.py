@@ -113,6 +113,16 @@ def test_hnf_does_not_count_as_full_pass(monkeypatch):
     assert calls
 
 
+def test_hnf_contracts_a_redex_with_a_deep_body():
+    # the redex's body is far deeper than the recursion limit allows a
+    # recursive walk to go
+    h = Const("h", II)
+    body, expected = Bound(0, I), a
+    for _ in range(3_000):
+        body, expected = App(h, body), App(h, expected)
+    assert hnf(App(Lam(I, body), a)) == expected
+
+
 def test_canonical_matches_independent_normalizer():
     rng = random.Random(12)
     frees = make_frees(rng, 4, 100)

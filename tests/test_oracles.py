@@ -391,3 +391,29 @@ def test_eta_bound_index_recognizes_eta_forms():
     assert eta_bound_index(arg) == 0
     assert eta_bound_index(App(f, Bound(0, I))) is None
     assert eta_bound_index(Lam(I, mk_app(Bound(1, III), [Bound(0, I), a]))) is None
+
+
+def _tower(k, t):
+    """f^k t."""
+    for _ in range(k):
+        t = App(f, t)
+    return t
+
+
+def test_deep_flex_rigid_pairs_end_with_a_status():
+    # the oracles walk the rigid side with explicit stacks, so a side far
+    # deeper than the recursion limit allows gets a verdict
+    F, H = Free(0, I), Free(1, II)
+    deep = _tower(600, a)
+    (sigma,) = pattern.pattern_oracle(F, deep, FreshSupply(10), Fuel()).csu
+    assert sigma.image_of(0) == deep
+    occurs = _tower(1_200, App(H, F))
+    assert fixpoint.fixpoint_oracle(F, occurs, FreshSupply(10), Fuel()) == NotApplicable()
+    assert is_linear(occurs) and not is_linear(App(App(g, occurs), F))
+    # F's answer is deeper than the engine's image depth cap, with the
+    # oracles or without them
+    for cfg in (EngineConfig(), EngineConfig(oracles=())):
+        st = solve([(F, deep)], cfg)
+        assert st.unifiers(max_pulls=10_000) == [] and st.status == "budget"
+    st = solve([(F, occurs)], EngineConfig(oracles=("fixpoint",), max_steps=50))
+    assert st.unifiers(max_pulls=10_000) == [] and st.status == "budget"

@@ -143,7 +143,7 @@ def test_triangular_resolves_as_the_composition():
         s1 = _random_subst(rng, pool_a, pool_b)
         s2 = _random_subst(rng, pool_b, pool_c)
         s3 = _random_subst(rng, pool_c, pool_d)
-        tri = TriangularSubst.root(10_000, 1_000_000).extend(s1).extend(s2).extend(s3)
+        tri = TriangularSubst.root(10_000, 1_000_000, 250).extend(s1).extend(s2).extend(s3)
         eager = compose(s3, compose(s2, s1))
         resolved = tri.restrict(ids)
         assert [v.id for v in resolved.domain()] == [v.id for v in eager.domain()]
@@ -157,7 +157,7 @@ def test_triangular_resolves_as_the_composition():
 
 def test_triangular_extension_is_checked():
     F, G, H = Free(1, II), Free(2, II), Free(3, I)
-    tri = TriangularSubst.root(100, 10_000).extend(
+    tri = TriangularSubst.root(100, 10_000, 250).extend(
         Substitution(((F, Lam(I, App(G, App(f, Bound(0, I))))),))
     )
     with pytest.raises(IdempotenceViolation):  # F is already bound
@@ -177,11 +177,11 @@ def test_triangular_resolution_is_guarded():
     twice_g = Substitution(((F, Lam(I, App(G, App(G, Bound(0, I))))),))
     g_to_ff = Substitution(((G, Lam(I, App(f, App(f, Bound(0, I))))),))
     # F resolves to \x. f (f (f (f x))): 6 nodes
-    assert TriangularSubst.root(6, 10_000).extend(twice_g).extend(g_to_ff).image_of(1)
+    assert TriangularSubst.root(6, 10_000, 250).extend(twice_g).extend(g_to_ff).image_of(1)
     with pytest.raises(Overgrown):
-        TriangularSubst.root(5, 10_000).extend(twice_g).extend(g_to_ff).image_of(1)
+        TriangularSubst.root(5, 10_000, 250).extend(twice_g).extend(g_to_ff).image_of(1)
     with pytest.raises(Overgrown):  # not enough fuel to normalize it
-        TriangularSubst.root(6, 2).extend(twice_g).extend(g_to_ff).image_of(1)
+        TriangularSubst.root(6, 2, 250).extend(twice_g).extend(g_to_ff).image_of(1)
 
 
 def _binding_rho(rng, domain, supply):
@@ -239,7 +239,7 @@ def test_hereditary_resolution_is_beta_normal_substitution():
         if trial == 0:
             image, rho = fixed
             X = Free(1, type_of(image))
-        tri = TriangularSubst.root(10**6, 10**7).extend(Substitution(((X, image),))).extend(rho)
+        tri = TriangularSubst.root(10**6, 10**7, 250).extend(Substitution(((X, image),))).extend(rho)
         expected = beta_normal(rho.apply(image))
         assert tri.image_of(1) == expected
         assert tri._lookup(1)[2] == free_vars(expected).keys()  # exact free variables
@@ -247,7 +247,7 @@ def test_hereditary_resolution_is_beta_normal_substitution():
             assert tri.image_of(1) is image
         untouched = gen_term(rng, X.ty, depth=3, frees=other)
         Y = Free(2, X.ty)
-        tri = TriangularSubst.root(10**6, 10**7).extend(Substitution(((Y, untouched),))).extend(rho)
+        tri = TriangularSubst.root(10**6, 10**7, 250).extend(Substitution(((Y, untouched),))).extend(rho)
         assert tri.image_of(2) is untouched
 
 
@@ -260,7 +260,7 @@ def test_duplicating_chain_overgrows_at_the_size_cap():
     ]
 
     def resolve(max_size):
-        tri = TriangularSubst.root(max_size, 10**7)
+        tri = TriangularSubst.root(max_size, 10**7, 250)
         for rho in links:
             tri = tri.extend(rho)
         return tri.image_of(0)
@@ -287,7 +287,7 @@ def test_deep_image_resolves_iteratively():
     for _ in range(layers):
         expected = App(q, Lam(I, expected))
     expected = Lam(I, expected)
-    tri = TriangularSubst.root(10**6, 10**7).extend(rho_f).extend(rho_g)
+    tri = TriangularSubst.root(10**6, 10**7, 250).extend(rho_f).extend(rho_g)
     assert tri.image_of(1) == expected
     assert tri._lookup(1)[2] == frozenset()
 
@@ -298,14 +298,14 @@ def test_non_normal_binding_is_normalized_first():
     F, G = Free(1, II), Free(2, II)
     twice = Lam(II, Lam(I, App(Bound(1, II), App(Bound(1, II), Bound(0, I)))))
     rho = Substitution(((F, App(twice, f)),))
-    tri = TriangularSubst.root(100, 10_000).extend(rho)
+    tri = TriangularSubst.root(100, 10_000, 250).extend(rho)
     assert tri.image_of(1) == Lam(I, App(f, App(f, Bound(0, I))))
-    child = TriangularSubst.root(100, 10_000).extend(
+    child = TriangularSubst.root(100, 10_000, 250).extend(
         Substitution(((G, Lam(I, App(F, Bound(0, I)))),))
     ).extend(rho)
     assert child.image_of(2) == Lam(I, App(f, App(f, Bound(0, I))))
     with pytest.raises(Overgrown):
-        TriangularSubst.root(100, 2).extend(rho)
+        TriangularSubst.root(100, 2, 250).extend(rho)
 
 
 def test_restrict_and_items_are_deterministic():
