@@ -26,8 +26,13 @@ can reconcile the samples, so retrieval never loses a true candidate;
 it merely filters.
 
 A `FingerprintIndex` keeps the fingerprints of a term population in a
-trie, one level per sampled position, so retrieval visits only
-compatible branches.
+trie, one level per sampled position, beside a map from each fingerprint
+to its leaf (the same set object), so an insert under a known
+fingerprint skips the walk.  Retrieval visits only compatible branches
+and finds them by key: a rigid-symbol feature looks up its own key and
+the markers it accepts, and only an A or B feature scans a node's
+children.  Which keys a feature looks up is read off the two tables once
+per index, so they stay the only statement of compatibility.
 Retrievals are pure reads over a snapshot; concurrent readers are safe
 as long as no insert runs at the same time.
 """
@@ -35,7 +40,7 @@ as long as no insert runs at the same time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError
 from .normalize import beta_normal, canonical, eta_index
@@ -56,10 +61,10 @@ from .terms import (
 # ----------------------------------------------------------------- features
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     """A rigid head: a constant's name, or an integer de Bruijn index
-    (kept disjoint from constant names by its type)."""
+    (kept disjoint from constant names by its type).  A tuple, so the
+    trie hashes and compares features in C."""
 
     sym: Union[str, int]
 
@@ -131,6 +136,8 @@ def _compile(positions: tuple[Position, ...]) -> _Plan:
     nodes = [(-1, 0)]
     node_of = {(): 0}
     for pos in positions:
+        if any(type(k) is not int or k < 1 for k in pos):
+            raise ValueError(f"position steps are 1-based ints: {pos!r}")
         for d in range(1, len(pos) + 1):
             if pos[:d] not in node_of:
                 node_of[pos[:d]] = len(nodes)
@@ -239,48 +246,80 @@ def feature_match(query: Feature, target: Feature) -> bool:
 
 # -------------------------------------------------------------------- index
 
+_MARKERS = (A, B, N)
+
+
+def _lookups(compat) -> tuple[dict, tuple]:
+    """How retrieval picks a node's children under one compatibility
+    table, read off the table once.
+
+    For a query marker: the stored markers it accepts, and, when it also
+    accepts rigid symbols, the markers it rejects (its children are then
+    scanned).  For a rigid-symbol query: the markers it accepts beside its
+    own key.  The tables treat every rigid symbol alike against a marker,
+    and accept a symbol only against itself, so one probe symbol stands
+    for all of them."""
+    probe = Sym(0)
+    by_marker = {}
+    for q in _MARKERS:
+        accepted = tuple(m for m in _MARKERS if compat(q, m))
+        rejected = frozenset(_MARKERS).difference(accepted) if compat(q, probe) else None
+        by_marker[q] = (accepted, rejected)
+    return by_marker, tuple(m for m in _MARKERS if compat(probe, m))
+
 
 class FingerprintIndex:
     """Fingerprints terms over a fixed position tuple and keeps them in a
-    trie with one level per position; leaves collect term ids."""
+    trie with one level per position; leaves collect term ids.  A map
+    from fingerprint to leaf shares the trie's leaf sets, and retrieval
+    looks compatible children up by key, with the key lists of both
+    tables worked out when the index is built."""
 
     def __init__(self, positions: tuple[Position, ...] = DEFAULT_POSITIONS):
         if not positions:
             raise ValueError("need at least one sample position")
         self._plan = _compile(tuple(tuple(p) for p in positions))
         self._root: dict = {}
+        self._leaves: dict = {}  # fingerprint -> its leaf set in the trie
+        self._unif = _lookups(feature_unif)
+        self._match = _lookups(feature_match)
 
     def fingerprint(self, t: Term) -> Fingerprint:
         return _sample(t, self._plan)
 
     def insert(self, term_id, t: Term) -> Fingerprint:
+        """Store term_id under t's fingerprint and return it; only a
+        fingerprint not stored before walks the trie."""
         f = self.fingerprint(t)
-        node = self._root
-        for feat in f[:-1]:
-            node = node.setdefault(feat, {})
-        node.setdefault(f[-1], set()).add(term_id)
+        leaf = self._leaves.get(f)
+        if leaf is None:
+            node = self._root
+            for feat in f[:-1]:
+                node = node.setdefault(feat, {})
+            leaf = self._leaves[f] = node.setdefault(f[-1], set())
+        leaf.add(term_id)
         return f
 
-    def _retrieve(self, query: Term, compat) -> set:
+    def _retrieve(self, query: Term, lookups) -> set:
+        by_marker, sym_accepts = lookups
         nodes = [self._root]
         for feat in self.fingerprint(query):
-            nodes = [
-                child
-                for node in nodes
-                for stored_feat, child in node.items()
-                if compat(feat, stored_feat)
-            ]
-        found: set = set()
-        for leaf in nodes:
-            found |= leaf
-        return found
+            accepted, rejected = by_marker.get(feat) or ((feat, *sym_accepts), None)
+            if rejected is None:
+                nodes = [c for node in nodes for k in accepted if (c := node.get(k)) is not None]
+            else:
+                nodes = [c for node in nodes for k, c in node.items() if k not in rejected]
+            if not nodes:
+                return set()
+        return set().union(*nodes)
 
     def retrieve_unifiable(self, query: Term) -> set:
-        return self._retrieve(query, feature_unif)
+        """Ids of stored terms that may unify with the query."""
+        return self._retrieve(query, self._unif)
 
     def retrieve_matching(self, query: Term) -> set:
         """Ids of stored terms the query may instantiate to."""
-        return self._retrieve(query, feature_match)
+        return self._retrieve(query, self._match)
 
 
 # ---------------------------------------------------------------- positions

@@ -188,6 +188,32 @@ def _term_eq(self, other):
         s, t = pending.pop()
 
 
+def _term_repr(self):
+    """`f a` for an application, `(\\:ty. body)` for an abstraction; an
+    argument that is an App or a Lam, and a function that is a Lam, are
+    parenthesized.  Printed from an explicit stack of pieces, either a
+    string to emit or a subterm to print, so no call recurses."""
+    out = []
+    todo = [self]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is str:
+            out.append(t)
+        elif cls is App:
+            fn, arg = t.fn, t.arg
+            if type(arg) is App or type(arg) is Lam:
+                todo += (")", arg, " (")
+            else:
+                todo += (arg, " ")
+            todo += (")", fn, "(") if type(fn) is Lam else (fn,)
+        elif cls is Lam:
+            todo += (")", t.body, f"(\\:{t.binder!r}. ")
+        else:
+            out.append(repr(t))
+    return "".join(out)
+
+
 @dataclass(frozen=True)
 class App:
     __slots__ = ("fn", "arg", "_ty", "_hash")
@@ -199,10 +225,7 @@ class App:
     __eq__ = _term_eq
     __hash__ = _term_hash
 
-    def __repr__(self):
-        a = f"({self.arg!r})" if isinstance(self.arg, (App, Lam)) else repr(self.arg)
-        f = f"({self.fn!r})" if isinstance(self.fn, Lam) else repr(self.fn)
-        return f"{f} {a}"
+    __repr__ = _term_repr
 
 
 @dataclass(frozen=True)
@@ -216,8 +239,7 @@ class Lam:
     __eq__ = _term_eq
     __hash__ = _term_hash
 
-    def __repr__(self):
-        return f"(\\:{self.binder!r}. {self.body!r})"
+    __repr__ = _term_repr
 
 
 Term = Union[Free, Bound, Const, App, Lam]

@@ -3,6 +3,7 @@ against the reference model (the whole first-order image, then sampled),
 the two compatibility matrices, the no-false-negatives guarantee, and
 trie-vs-scan equality."""
 
+import pickle
 import random
 
 import pytest
@@ -101,9 +102,6 @@ def beta_expand(rng, t):
 
 DEEP3 = ((1, 2, 1), (2,), (3, 1, 1), (1, 1, 1))
 
-#: steps below 1 name no child, so they sample as N (or B below a variable)
-NONPOS = ((0,), (1, 0), (-1,), ())
-
 
 # ------------------------------------------------------------------ goldens
 
@@ -159,7 +157,7 @@ def test_encoding_erases_binders_and_swallows_flex_arguments():
 def test_lazy_pass_equals_reference_model():
     # canonical, eta-short, beta-expanded and open forms of seeded terms
     rng = random.Random(4242)
-    postuples = (DEFAULT_POSITIONS, P3, ((),), DEEP3, NONPOS)
+    postuples = (DEFAULT_POSITIONS, P3, ((),), DEEP3)
     for _ in range(400):
         frees = make_frees(rng, 3, start=0)
         t = gen_sized(rng, rand_type(rng), mode="any", frees=frees, max_size=10)
@@ -360,6 +358,90 @@ def test_trie_retrieval_equals_linear_scan():
 def test_index_rejects_empty_positions():
     with pytest.raises(ValueError):
         FingerprintIndex(positions=())
+
+
+def test_steps_that_name_no_child_are_rejected():
+    for pos in ((0,), (1, 0), (-1,), (1.0,), ("1",)):
+        with pytest.raises(ValueError):
+            FingerprintIndex(((), pos))
+        with pytest.raises(ValueError):
+            fp_ho(a, (pos,))
+
+
+#: every feature kind at both of two positions: equal and distinct
+#: constants, a bound head db0 beside a constant named "0", A, B and N
+KIND_POSITIONS = ((1,), (1, 1))
+
+
+def _kind_terms():
+    r = Const("r", II)
+    r2 = Const("r", arrow([II], I))
+    g1 = Const("g", II)
+    zero = Const("0", I)
+    X = Free(0, I)
+    F = Free(1, II)
+    return [
+        App(r, App(f1, a)),  # f, a
+        App(r, App(f1, b)),  # f, b
+        App(r, App(g1, a)),  # g, a
+        App(r, App(g1, App(f1, a))),  # g, f
+        App(r, a),  # a, N
+        App(r, zero),  # "0", N
+        App(r2, Lam(I, Bound(0, I))),  # db0, N
+        App(r2, Lam(I, App(f1, Bound(0, I)))),  # f, db0
+        App(r, App(f1, zero)),  # f, "0"
+        App(r, App(f1, X)),  # f, A
+        App(r, X),  # A, B
+        App(r, App(F, a)),  # A, B
+        X,  # B, B
+        a,  # N, N
+    ]
+
+
+def test_key_lookup_equals_linear_scan_on_every_feature_kind():
+    terms = _kind_terms()
+    index = FingerprintIndex(KIND_POSITIONS)
+    stored = {}
+    for i, t in enumerate(terms):
+        stored[i] = index.insert(i, t)
+    for k in range(2):
+        seen = {x[k] for x in stored.values()}
+        assert {A, B, N, Sym("f"), Sym("a"), Sym(0), Sym("0")} <= seen
+    for q in terms:
+        fq = index.fingerprint(q)
+        assert index.retrieve_unifiable(q) == {
+            i for i, ft in stored.items() if compatible_unif(fq, ft)
+        }, fq
+        assert index.retrieve_matching(q) == {
+            i for i, ft in stored.items() if compatible_match(fq, ft)
+        }, fq
+
+
+def test_one_id_under_several_terms():
+    index = FingerprintIndex()
+    t1 = App(f1, App(f1, App(f1, a)))
+    t2 = App(f1, App(f1, App(f1, b)))  # t1's fingerprint: the leaf is found by map
+    assert index.insert(7, t1) == index.insert(7, t2)
+    index.insert(8, t2)  # a second id in the same leaf
+    assert index.insert(9, a) != index.insert(9, b)  # two leaves
+    X = Free(0, I)
+    assert index.retrieve_unifiable(t1) == {7, 8}
+    assert index.retrieve_matching(App(f1, X)) == {7, 8}
+    assert index.retrieve_unifiable(a) == index.retrieve_unifiable(b) == {9}
+    assert index.retrieve_unifiable(X) == {7, 8, 9}
+    assert index.retrieve_matching(Const("c", I)) == set()
+
+
+def test_sym_value_semantics():
+    assert Sym("f") == Sym("f") and hash(Sym("f")) == hash(Sym("f"))
+    assert Sym(0) != Sym("0") and Sym(0) != Sym(1)
+    table = {Sym("f"): 1, Sym(0): 2, Sym("0"): 3, A: 4}
+    assert table[Sym("f")] == 1 and table[Sym(0)] == 2 and table[Sym("0")] == 3
+    for x in (Sym("f"), Sym(0)):
+        back = pickle.loads(pickle.dumps(x))
+        assert back == x and type(back) is Sym
+    assert repr(Sym("f")) == "Sym(sym='f')" and repr(Sym(0)) == "Sym(sym=0)"
+    assert str(Sym("f")) == "f" and str(Sym(0)) == "db0"
 
 
 # -------------------------------------------------------------- positions

@@ -338,3 +338,31 @@ def test_type_memo_invisible_to_equality_hash_and_pickle():
         back = pickle.loads(before)  # untyped and unhashed again
         assert back == t and hash(back) == h
         assert type_of(back) == ty
+
+
+def test_repr_pins():
+    E = arrow([II], I)
+    pins = [
+        (App(f, a), "f a"),
+        (mk_app(g, [a, App(f, b)]), "g a (f b)"),
+        (App(Free(3, II), a), "?3 a"),
+        # a redex head and a Lam argument are parenthesized around their parentheses
+        (App(Lam(I, Bound(0, I)), App(f, a)), "((\\:i. #0)) (f a)"),
+        (Lam(II, Lam(I, App(Bound(1, II), Bound(0, I)))), "(\\:i>i. (\\:i. #1 #0))"),
+        (Lam(E, App(Bound(0, E), f)), "(\\:(i>i)>i. #0 f)"),
+        (
+            mk_app(Lam(I, Lam(I, Bound(1, I))), [Lam(I, Bound(0, I)), Free(4, I, "elimination")]),
+            "((\\:i. (\\:i. #1))) ((\\:i. #0)) ?4e",
+        ),
+    ]
+    for t, want in pins:
+        assert repr(t) == want
+
+
+def test_repr_at_depth_5000():
+    # at the default recursion limit
+    assert repr(_tower(5000, a)) == "f (" * 4999 + "f a" + ")" * 4999
+    t = Bound(0, I)
+    for _ in range(5000):
+        t = Lam(I, t)
+    assert repr(t) == "(\\:i. " * 5000 + "#0" + ")" * 5000
