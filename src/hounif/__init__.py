@@ -22,7 +22,6 @@ from .fingerprint import DEFAULT_POSITIONS, FingerprintIndex, fp_ho
 from .normalize import beta_normal, canonical, eta_long
 from .oracles import NotApplicable, NotUnifiable, Success, resolve
 from .problem_io import (
-    IndexFile,
     Problem,
     parse_index,
     parse_problem,
@@ -54,9 +53,8 @@ __version__ = "0.1.0"
 __all__ = [
     "App", "Arrow", "Base", "Bound", "Const", "DEFAULT_POSITIONS",
     "DeclError", "EngineConfig", "FingerprintIndex", "Free", "FreshSupply",
-    "HounifError", "IdempotenceViolation", "IllTyped", "IndexFile",
-    "InternalError", "Lam", "Limits",
-    "NotApplicable", "NotUnifiable", "ParseError",
+    "HounifError", "IdempotenceViolation", "IllTyped", "InternalError",
+    "Lam", "Limits", "NotApplicable", "NotUnifiable", "ParseError",
     "Problem", "Substitution", "Success", "Term", "Type", "TypeMismatch",
     "UnifierStream", "arrow", "beta_normal", "canonical", "compose",
     "eta_long", "fp_ho", "free_vars", "mk_app", "mk_lams", "parse_index",

@@ -35,6 +35,13 @@ from .terms import Const, Free, free_vars, type_of
 _VERIFY_BUDGET = 20_000  # engine steps per index confirmation
 
 
+def count(text: str) -> int:
+    """An integer >= 0; argparse calls a malformed one an "invalid count value"."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hounif",
@@ -53,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     default_limits = ",".join(map(str, Limits()))
     ps.add_argument("--limits", default=default_limits,
                     help=f"pragmatic limits TOTAL,FP,EL,IM,ID (default {default_limits})")
-    ps.add_argument("--max-unifiers", type=int, default=None)
-    ps.add_argument("--max-steps", type=int, default=100_000)
-    ps.add_argument("--timeout-ms", type=int, default=None)
+    ps.add_argument("--max-unifiers", type=count, default=None)
+    ps.add_argument("--max-steps", type=count, default=100_000)
+    ps.add_argument("--timeout-ms", type=count, default=None)
     ps.add_argument("--verify", action="store_true",
                     help="re-check every unifier before printing it")
 
@@ -81,9 +88,10 @@ def cmd_solve(args) -> int:
     deadline = None
     if args.timeout_ms is not None:
         deadline = time.monotonic() + args.timeout_ms / 1000.0
-    status: Optional[str] = None
+    # --max-unifiers 0 asks for no unifier, so the stream is not pulled
+    status: Optional[str] = "max-unifiers" if args.max_unifiers == 0 else None
     found = 0
-    for item in stream:
+    for item in () if status else stream:
         if item is not None:
             if args.verify and not verify_unifier(problem.goals, item):
                 raise InternalError("emitted substitution failed verification")
@@ -191,9 +199,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the parser and the printers recurse once per level of term
-        # nesting, and type hashing and comparison once per argument of
-        # a type; solving and verifying do not recurse on term depth
+        # reading, printing, solving and verifying do not recurse on the
+        # depth of a term; the engine's type walks (_type_size, _type_key
+        # and signature_types.add) still recurse on the arity of a type
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -22,17 +22,24 @@ goals, plus retrieval queries:
     query-unif: F b.
     query-match: f B.
 
+Both read into one `Problem`: a problem file leaves `entries` and
+`queries` empty, an index file leaves `goals` empty.
+
 Unifier blocks, as printed by `print_unifier`, are line oriented: first
 ``var H_k : ty.`` declarations for auxiliary variables, then one
 ``F -> image`` line per mapped problem variable (sorted by name), or the
 single word ``identity``.  The ``H_`` namespace is reserved for these
 auxiliaries; problem files may not declare names starting with it.
+
+The reader and the printers keep their pending work on explicit stacks,
+so no call recurses on the nesting of a term or a type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import re
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .errors import DeclError, ParseError
 from .normalize import canonical
@@ -47,6 +54,7 @@ from .terms import (
     Lam,
     Term,
     Type,
+    arrow,
     free_vars,
     spine,
     type_of,
@@ -61,18 +69,8 @@ class Problem:
     consts: dict[str, Const]
     variables: dict[str, Free]
     goals: tuple[tuple[Term, Term], ...]
-
-    def var_names(self) -> dict[int, str]:
-        return {v.id: name for name, v in self.variables.items()}
-
-
-@dataclass(frozen=True)
-class IndexFile:
-    base_types: tuple[str, ...]
-    consts: dict[str, Const]
-    variables: dict[str, Free]
-    entries: tuple[Term, ...]
-    queries: tuple[tuple[str, Term], ...]  # ("unif" | "match", term)
+    entries: tuple[Term, ...] = ()
+    queries: tuple[tuple[str, Term], ...] = ()  # ("unif" | "match", term)
 
     def var_names(self) -> dict[int, str]:
         return {v.id: name for name, v in self.variables.items()}
@@ -81,70 +79,43 @@ class IndexFile:
 # ---------------------------------------------------------------- tokenizer
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # ident dot colon lparen rparen lam gt uniq arrow eof
+class _Tok(NamedTuple):
+    kind: str  # ident dot colon lparen rparen lam gt unifeq arrow eof
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str, start_line: int = 1) -> list[_Tok]:
+# A group's name is its token's kind.  An identifier starts with a letter
+# or '_'; '-' belongs only to the two query keywords.  A comment does not
+# advance the column.
+_TOKEN = re.compile(r"""
+    (?P<blank>[ \t\r\n]+) | (?P<comment>%[^\n]*)
+  | (?P<ident>query-(?:unif|match)(?!\w) | [^\W\d]\w*)
+  | (?P<unifeq>=\?=) | (?P<arrow>->) | (?P<dot>\.) | (?P<colon>:)
+  | (?P<lparen>\() | (?P<rparen>\)) | (?P<lam>\\) | (?P<gt>>)
+""", re.VERBOSE)
+
+
+def _tokenize(text: str, line: int = 1) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col = start_line, 1
-    i, n = 0, len(text)
-    while i < n:
+    i, col = 0, 1
+    while i < len(text):
+        m = _TOKEN.match(text, i)
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            word = text[i:j]
-            # '-' is only part of the two query keywords
-            while "-" in word and word not in ("query-unif", "query-match"):
-                j = i + word.rindex("-")
-                word = text[i:j]
-            if not word:
-                raise ParseError("stray '-'", line, col)
-            toks.append(_Tok("ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        simple = {".": "dot", ":": "colon", "(": "lparen", ")": "rparen",
-                  "\\": "lam", ">": "gt"}
-        if ch in simple:
-            toks.append(_Tok(simple[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "=":
-            if text[i : i + 3] == "=?=":
-                toks.append(_Tok("unifeq", "=?=", line, col))
-                i += 3
-                col += 3
-                continue
-            raise ParseError("expected '=?='", line, col)
-        if ch == "-":
-            if text[i : i + 2] == "->":
-                toks.append(_Tok("arrow", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("expected '->'", line, col)
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        # `[^\W\d]` also admits numeric characters that are not digits
+        if m is None or m.lastgroup == "ident" and not (ch.isalpha() or ch == "_"):
+            if ch in "=-":
+                raise ParseError(f"expected {'=?=' if ch == '=' else '->'!r}", line, col)
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        kind, word, i = m.lastgroup, m.group(), m.end()
+        if kind == "blank" and "\n" in word:
+            line += word.count("\n")
+            col = len(word) - word.rindex("\n")
+        elif kind != "comment":
+            if kind != "blank":
+                toks.append(_Tok(kind, word, line, col))
+            col += len(word)
     toks.append(_Tok("eof", "", line, col))
     return toks
 
@@ -153,18 +124,24 @@ def _tokenize(text: str, start_line: int = 1) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], scope: "_Scope"):
-        self.toks = toks
-        self.pos = 0
-        self.scope = scope
+    """A token list, read against the names declared so far.  A unifier
+    block is read against its problem's names, and only it may declare
+    the auxiliaries of the reserved namespace."""
+
+    def __init__(self, text: str, problem: Optional[Problem] = None):
+        self.toks, self.pos = _tokenize(text), 0
+        self.base_types = set(problem.base_types if problem else ())
+        self.consts = dict(problem.consts if problem else {})
+        self.variables = dict(problem.variables if problem else {})
+        self.next_var_id = 1 + max((v.id for v in self.variables.values()), default=-1)
+        self.allow_aux = problem is not None
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
 
     def next(self) -> _Tok:
-        t = self.toks[self.pos]
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
     def expect(self, kind: str, what: str) -> _Tok:
         t = self.next()
@@ -173,65 +150,97 @@ class _Parser:
                              t.line, t.col)
         return t
 
-    # types ------------------------------------------------------------
+    def declaration(self, tok: _Tok) -> None:
+        """The rest of the ``tp``, ``const`` or ``var`` declaration `tok`
+        starts, up to its period."""
+        name = self.expect("ident", "a name").text
+        ty = None
+        if tok.text != "tp":
+            self.expect("colon", "':'")
+            ty = self.parse_type()
+        if name in self.base_types or name in self.consts or name in self.variables:
+            raise DeclError(f"{name!r} declared twice (at {tok.line}:{tok.col})")
+        if name.startswith(AUX_PREFIX) and not self.allow_aux:
+            raise DeclError(f"{name!r} at {tok.line}:{tok.col}: the {AUX_PREFIX} prefix is "
+                            "reserved for printed auxiliary variables")
+        if tok.text == "tp":
+            self.base_types.add(name)
+        elif tok.text == "const":
+            if not name[0].islower():
+                raise DeclError(f"constant {name!r} must start lowercase (at {tok.line}:{tok.col})")
+            self.consts[name] = Const(name, ty)
+        else:
+            if not name[0].isupper():
+                raise DeclError(f"variable {name!r} must start uppercase (at {tok.line}:{tok.col})")
+            self.variables[name] = Free(self.next_var_id, ty)
+            self.next_var_id += 1
 
     def parse_type(self) -> Type:
-        dom = self._type_atom()
-        if self.peek().kind == "gt":
-            self.next()
-            return Arrow(dom, self.parse_type())
-        return dom
-
-    def _type_atom(self) -> Type:
-        t = self.next()
-        if t.kind == "lparen":
-            inner = self.parse_type()
-            self.expect("rparen", "')'")
-            return inner
-        if t.kind == "ident":
-            if t.text not in self.scope.base_types:
+        """`doms` holds the domains read so far in the innermost open
+        parenthesis, `opened` those of the enclosing ones."""
+        opened: list[list[Type]] = []
+        doms: list[Type] = []
+        while True:
+            t = self.next()
+            if t.kind == "lparen":
+                opened.append(doms)
+                doms = []
+                continue
+            if t.kind != "ident":
+                raise ParseError("expected a type", t.line, t.col)
+            if t.text not in self.base_types:
                 raise DeclError(f"undeclared type {t.text!r} at {t.line}:{t.col}")
-            return Base(t.text)
-        raise ParseError("expected a type", t.line, t.col)
+            ty: Type = Base(t.text)
+            while self.peek().kind != "gt":
+                ty = arrow(doms, ty)
+                if not opened:
+                    return ty
+                self.expect("rparen", "')'")
+                doms = opened.pop()
+            self.next()
+            doms.append(ty)
 
-    # terms ------------------------------------------------------------
-
-    _ATOM_STARTS = {"ident", "lparen", "lam"}
-
-    def parse_term(self, binders: list[tuple[str, Type]]) -> Term:
-        t = self.peek()
-        if t.kind == "lam":
-            return self._lambda(binders)
-        out = self._atom(binders)
-        while self.peek().kind in self._ATOM_STARTS:
-            if self.peek().kind == "lam":
-                arg = self._lambda(binders)
-            else:
-                arg = self._atom(binders)
-            out = self._apply(out, arg, t)
-        return out
-
-    def _lambda(self, binders) -> Term:
-        self.expect("lam", "'\\'")
-        name = self.expect("ident", "a binder name").text
-        self.expect("colon", "':'")
-        ty = self.parse_type()
-        self.expect("dot", "'.' after the binder type")
-        body = self.parse_term(binders + [(name, ty)])
-        return Lam(ty, body)
-
-    def _atom(self, binders) -> Term:
-        t = self.next()
-        if t.kind == "lparen":
-            inner = self.parse_term(binders)
-            self.expect("rparen", "')'")
-            return inner
-        if t.kind == "ident":
-            for depth, (name, ty) in enumerate(reversed(binders)):
-                if name == t.text:
-                    return Bound(depth, ty)
-            return self.scope.lookup(t.text, t.line, t.col)
-        raise ParseError("expected a term", t.line, t.col)
+    def parse_term(self) -> Term:
+        """Each open parenthesis or λ body suspends the application read
+        so far as a frame (binder type or None, its first token, its
+        function); `binders` holds the open λs, innermost last."""
+        frames: list[tuple[Optional[Type], _Tok, Optional[Term]]] = []
+        binders: list[tuple[str, Type]] = []
+        start, fn = self.peek(), None
+        while True:
+            t = self.next()
+            if t.kind == "lam" or t.kind == "lparen":
+                ty = None
+                if t.kind == "lam":
+                    name = self.expect("ident", "a binder name").text
+                    self.expect("colon", "':'")
+                    ty = self.parse_type()
+                    self.expect("dot", "'.' after the binder type")
+                    binders.append((name, ty))
+                frames.append((ty, start, fn))
+                start, fn = self.peek(), None
+                continue
+            if t.kind != "ident":
+                raise ParseError("expected a term", t.line, t.col)
+            atom = next((Bound(depth, ty) for depth, (name, ty) in enumerate(reversed(binders))
+                         if name == t.text), None)
+            atom = atom or self.variables.get(t.text) or self.consts.get(t.text)
+            if atom is None:
+                raise DeclError(f"undeclared symbol {t.text!r} at {t.line}:{t.col}")
+            while True:
+                fn = atom if fn is None else self._apply(fn, atom, start)
+                if self.peek().kind in ("ident", "lparen", "lam"):
+                    break
+                if not frames:
+                    return fn
+                ty, start, outer = frames.pop()
+                if ty is None:
+                    self.expect("rparen", "')'")
+                    atom = fn
+                else:
+                    binders.pop()
+                    atom = Lam(ty, fn)
+                fn = outer
 
     @staticmethod
     def _apply(fn: Term, arg: Term, at: _Tok) -> Term:
@@ -244,47 +253,8 @@ class _Parser:
         return App(fn, arg)
 
 
-@dataclass
-class _Scope:
-    base_types: set = field(default_factory=set)
-    consts: dict = field(default_factory=dict)
-    variables: dict = field(default_factory=dict)
-    next_var_id: int = 0
-    allow_aux: bool = False
-
-    def declare(self, kind: str, name: str, ty: Optional[Type], tok: _Tok):
-        if name in self.base_types or name in self.consts or name in self.variables:
-            raise DeclError(f"{name!r} declared twice (at {tok.line}:{tok.col})")
-        if name.startswith(AUX_PREFIX) and not self.allow_aux:
-            raise DeclError(
-                f"{name!r} at {tok.line}:{tok.col}: the {AUX_PREFIX} prefix is "
-                "reserved for printed auxiliary variables"
-            )
-        if kind == "tp":
-            self.base_types.add(name)
-        elif kind == "const":
-            if not name[0].islower():
-                raise DeclError(f"constant {name!r} must start lowercase "
-                                f"(at {tok.line}:{tok.col})")
-            self.consts[name] = Const(name, ty)
-        else:
-            if not name[0].isupper():
-                raise DeclError(f"variable {name!r} must start uppercase "
-                                f"(at {tok.line}:{tok.col})")
-            self.variables[name] = Free(self.next_var_id, ty)
-            self.next_var_id += 1
-
-    def lookup(self, name: str, line: int, col: int) -> Term:
-        if name in self.variables:
-            return self.variables[name]
-        if name in self.consts:
-            return self.consts[name]
-        raise DeclError(f"undeclared symbol {name!r} at {line}:{col}")
-
-
-def _parse_file(text: str, kind: str):
-    scope = _Scope()
-    p = _Parser(_tokenize(text), scope)
+def _parse_file(text: str, kind: str) -> Problem:
+    p = _Parser(text)
     goals: list[tuple[Term, Term]] = []
     entries: list[Term] = []
     queries: list[tuple[str, Term]] = []
@@ -292,79 +262,80 @@ def _parse_file(text: str, kind: str):
         tok = p.expect("ident", "a declaration keyword")
         word = tok.text
         if word in ("tp", "const", "var"):
-            name = p.expect("ident", "a name").text
-            ty = None
-            if word != "tp":
-                p.expect("colon", "':'")
-                ty = p.parse_type()
-            scope.declare(word, name, ty, tok)
+            p.declaration(tok)
         elif word == "unify" and kind == "problem":
             p.expect("colon", "':'")
-            lhs = p.parse_term([])
+            lhs = p.parse_term()
             p.expect("unifeq", "'=?='")
-            rhs = p.parse_term([])
+            rhs = p.parse_term()
             if type_of(lhs) != type_of(rhs):
-                raise DeclError(
-                    f"goal at {tok.line}:{tok.col} relates distinct types "
-                    f"{type_of(lhs)} and {type_of(rhs)}"
-                )
+                raise DeclError(f"goal at {tok.line}:{tok.col} relates distinct types "
+                                f"{type_of(lhs)} and {type_of(rhs)}")
             goals.append((lhs, rhs))
         elif word == "term" and kind == "index":
             p.expect("colon", "':'")
-            entries.append(p.parse_term([]))
+            entries.append(p.parse_term())
         elif word in ("query-unif", "query-match") and kind == "index":
             p.expect("colon", "':'")
-            queries.append((word.removeprefix("query-"), p.parse_term([])))
+            queries.append((word.removeprefix("query-"), p.parse_term()))
         else:
             raise ParseError(f"unknown declaration {word!r}", tok.line, tok.col)
         p.expect("dot", "'.' ending the declaration")
-    return scope, goals, entries, queries
+    return Problem(tuple(sorted(p.base_types)), p.consts, p.variables,
+                   tuple(goals), tuple(entries), tuple(queries))
 
 
 def parse_problem(text: str) -> Problem:
-    scope, goals, _, _ = _parse_file(text, "problem")
-    return Problem(tuple(sorted(scope.base_types)), dict(scope.consts),
-                   dict(scope.variables), tuple(goals))
+    return _parse_file(text, "problem")
 
 
-def parse_index(text: str) -> IndexFile:
-    scope, _, entries, queries = _parse_file(text, "index")
-    return IndexFile(tuple(sorted(scope.base_types)), dict(scope.consts),
-                     dict(scope.variables), tuple(entries), tuple(queries))
+def parse_index(text: str) -> Problem:
+    return _parse_file(text, "index")
 
 
 # ------------------------------------------------------------------ printing
+# Each printer pops pieces pushed in reverse order: a string to emit, or a
+# type or (term, binder depth) to print.
 
 
 def print_type(ty: Type) -> str:
-    if isinstance(ty, Arrow):
-        dom = print_type(ty.dom)
-        if isinstance(ty.dom, Arrow):
-            dom = f"({dom})"
-        return f"{dom} > {print_type(ty.cod)}"
-    return ty.name
+    out, todo = [], [ty]
+    while todo:
+        t = todo.pop()
+        if type(t) is Arrow:
+            todo += (t.cod, " > ")
+            todo += (")", t.dom, "(") if type(t.dom) is Arrow else (t.dom,)
+        else:
+            out.append(t if type(t) is str else t.name)
+    return "".join(out)
 
 
-def print_term(t: Term, names: dict[int, str], depth: int = 0) -> str:
-    if isinstance(t, Lam):
-        body = print_term(t.body, names, depth + 1)
-        return f"\\x{depth + 1}:{print_type(t.binder)}. {body}"
-    head, args = spine(t)
-    if isinstance(head, Free):
-        head_str = names.get(head.id, f"?{head.id}")
-    elif isinstance(head, Bound):
-        head_str = f"x{depth - head.index}"
-    elif isinstance(head, Const):
-        head_str = head.name
-    else:  # a beta redex head: print it parenthesized
-        head_str = f"({print_term(head, names, depth)})"
-    parts = [head_str]
-    for a in args:
-        s = print_term(a, names, depth)
-        if isinstance(a, (App, Lam)):
-            s = f"({s})"
-        parts.append(s)
-    return " ".join(parts)
+def print_term(t: Term, names: dict[int, str]) -> str:
+    out, todo = [], [(t, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, depth = item
+        if type(t) is Lam:
+            out.append(f"\\x{depth + 1}:{print_type(t.binder)}. ")
+            todo.append((t.body, depth + 1))
+            continue
+        head, args = spine(t)
+        for a in reversed(args):
+            todo += (")", (a, depth), " (") if type(a) in (App, Lam) else ((a, depth), " ")
+        cls = type(head)
+        if cls is Free:
+            out.append(names.get(head.id, f"?{head.id}"))
+        elif cls is Bound:
+            out.append(f"x{depth - head.index}")
+        elif cls is Const:
+            out.append(head.name)
+        else:  # a beta redex head: print it parenthesized
+            out.append("(")
+            todo += (")", (head, depth))
+    return "".join(out)
 
 
 def print_problem(problem: Problem) -> str:
@@ -372,10 +343,8 @@ def print_problem(problem: Problem) -> str:
     lines += [f"const {name} : {print_type(c.ty)}." for name, c in problem.consts.items()]
     lines += [f"var {name} : {print_type(v.ty)}." for name, v in problem.variables.items()]
     names = problem.var_names()
-    lines += [
-        f"unify: {print_term(s, names)} =?= {print_term(t, names)}."
-        for s, t in problem.goals
-    ]
+    lines += [f"unify: {print_term(s, names)} =?= {print_term(t, names)}."
+              for s, t in problem.goals]
     return "\n".join(lines) + "\n"
 
 
@@ -398,8 +367,7 @@ def print_unifier(sigma: Substitution, problem: Problem) -> str:
         for v in free_vars(image).values():
             if v.id not in names and v.id not in aux:
                 aux[v.id] = (f"{AUX_PREFIX}{len(aux) + 1}", v)
-    all_names = dict(names)
-    all_names.update({vid: nm for vid, (nm, _) in aux.items()})
+    all_names = names | {vid: nm for vid, (nm, _) in aux.items()}
     lines = [f"var {nm} : {print_type(v.ty)}." for nm, v in aux.values()]
     lines += [f"{name} -> {print_term(image, all_names)}" for name, image in mapped]
     return "\n".join(lines) + "\n"
@@ -408,36 +376,21 @@ def print_unifier(sigma: Substitution, problem: Problem) -> str:
 def parse_unifier(text: str, problem: Problem) -> Substitution:
     """Parse `print_unifier` output back into a substitution over the
     problem's variables."""
-    scope = _Scope(
-        base_types=set(problem.base_types),
-        consts=dict(problem.consts),
-        variables=dict(problem.variables),
-        next_var_id=1 + max((v.id for v in problem.variables.values()), default=-1),
-        allow_aux=True,
-    )
+    p = _Parser("", problem)
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
-        if not line:
+        if line in ("", "identity"):
             continue
-        if line == "identity":
-            continue
-        p = _Parser(_tokenize(line, start_line=lineno), scope)
+        p.toks, p.pos = _tokenize(line, lineno), 0
         first = p.expect("ident", "a variable name or 'var'")
         if first.text == "var":
-            name = p.expect("ident", "a name").text
-            p.expect("colon", "':'")
-            ty = p.parse_type()
-            scope.declare("var", name, ty, first)
+            p.declaration(first)
             p.expect("dot", "'.' ending the declaration")
-            p.expect("eof", "end of line")
-            continue
-        if first.text not in problem.variables:
-            raise DeclError(
-                f"line {lineno}: {first.text!r} is not a problem variable"
-            )
-        p.expect("arrow", "'->'")
-        image = p.parse_term([])
+        elif first.text in problem.variables:
+            p.expect("arrow", "'->'")
+            entries.append((problem.variables[first.text], p.parse_term()))
+        else:
+            raise DeclError(f"line {lineno}: {first.text!r} is not a problem variable")
         p.expect("eof", "end of line")
-        entries.append((problem.variables[first.text], image))
     return Substitution(entries)

@@ -16,6 +16,22 @@ from .errors import IllTyped
 # ---------------------------------------------------------------- types
 
 
+# Arrow, App and Lam carry slots beyond their fields: `_hash`, the
+# structural hash, which Arrow's `__init__` sets and App's and Lam's
+# `__hash__` memoizes, and on App and Lam `_ty`, where `type_of` memoizes
+# the node's type (reads go through `getattr(t, "_ty", None)`).  Neither is
+# a dataclass field: equality ignores them, and pickling saves the fields
+# only, as a slots dataclass does, so a pickle is the same bytes whether
+# typed or hashed or not, and carries no string hash to another process.
+def _fields_state(self):
+    return [getattr(self, f) for f in self.__match_args__]
+
+
+def _set_fields_state(self, state):
+    for f, value in zip(self.__match_args__, state):
+        object.__setattr__(self, f, value)
+
+
 @dataclass(frozen=True, slots=True)
 class Base:
     name: str
@@ -24,14 +40,47 @@ class Base:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Arrow:
+    """A function type; `==` and `repr` loop along `cod`, so neither
+    recurses on the arity of a type."""
+
+    __slots__ = ("dom", "cod", "_hash")
     dom: "Type"
     cod: "Type"
 
+    def __init__(self, dom: "Type", cod: "Type"):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "_hash", hash((dom, cod)))
+
+    __getstate__ = _fields_state
+
+    def __setstate__(self, state):
+        self.__init__(*state)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        s, t = self, other
+        while s is not t:
+            if s._hash != t._hash or s.dom is not t.dom and s.dom != t.dom:
+                return False
+            s, t = s.cod, t.cod
+            if type(s) is not Arrow or type(t) is not Arrow:
+                return s is t or s == t
+        return True
+
     def __repr__(self):
-        d = f"({self.dom!r})" if isinstance(self.dom, Arrow) else repr(self.dom)
-        return f"{d}>{self.cod!r}"
+        out, t = [], self
+        while type(t) is Arrow:
+            out.append(f"({t.dom!r})>" if type(t.dom) is Arrow else f"{t.dom!r}>")
+            t = t.cod
+        out.append(repr(t))
+        return "".join(out)
 
 
 Type = Union[Base, Arrow]
@@ -104,21 +153,6 @@ class Const:
 
     def __repr__(self):
         return self.name
-
-
-# App and Lam carry two slots beyond their fields: `_ty`, where `type_of`
-# memoizes the node's type, and `_hash`, where `__hash__` memoizes the
-# node's structural hash.  Neither is a dataclass field: `__init__` leaves
-# them unset (reads go through `getattr(t, "_ty", None)`), equality ignores
-# them, and pickling saves the fields only, exactly as a slots dataclass
-# does, so pickled terms are the same bytes whether typed or hashed or not.
-def _fields_state(self):
-    return [getattr(self, f) for f in self.__match_args__]
-
-
-def _set_fields_state(self, state):
-    for f, value in zip(self.__match_args__, state):
-        object.__setattr__(self, f, value)
 
 
 def _term_hash(self):

@@ -6,6 +6,7 @@ checked without spawning subprocesses (one smoke test exercises the real
 console script).
 """
 
+import os
 import pathlib
 import shutil
 import subprocess
@@ -236,15 +237,70 @@ def test_solve_malformed_limits_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_solve_deep_input_exits_2(tmp_path, capsys):
-    k = 600
-    tower = "a"
-    for _ in range(k):
-        tower = f"h ({tower})"
-    problem = f"tp i.\nconst a : i.\nconst h : i > i.\nvar X : i.\nunify: {tower} =?= X.\n"
-    rc, out, err = run_cli(capsys, ["solve", write(tmp_path, problem)])
+def test_solve_recursion_error_exits_2(tmp_path, capsys, monkeypatch):
+    def overflow(goals, cfg):
+        raise RecursionError
+
+    monkeypatch.setattr(cli, "solve", overflow)
+    rc, out, err = run_cli(capsys, ["solve", write(tmp_path, FLEX_FLEX_PROBLEM)])
     assert rc == 2
     assert err == "error: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("option", ["--max-unifiers", "--max-steps", "--timeout-ms"])
+def test_solve_negative_count_exits_2(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["solve", write(tmp_path, FLEX_FLEX_PROBLEM), option, "-1"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a count >= 0, got -1" in err
+
+
+def test_solve_max_unifiers_zero_prints_no_unifier(tmp_path, capsys):
+    path = write(tmp_path, DIVERGENT_PROBLEM)
+    rc, out, _ = run_cli(capsys, ["solve", path, "--max-unifiers", "0"])
+    assert rc == 1
+    assert out == "status: max-unifiers\nfound: 0\npulls: 0\nsteps: 0\n"
+
+
+# ---------------------------------------------------------------------------
+# solve: deep and wide input, at the default recursion limit
+# ---------------------------------------------------------------------------
+
+
+def tower(k, t):
+    for _ in range(k):
+        t = f"h ({t})"
+    return t
+
+
+@pytest.mark.parametrize("k", [600, 5000])
+def test_solve_deep_tower_file(tmp_path, capsys, k):
+    problem = "tp i.\nconst a : i.\nconst h : i > i.\nvar X : i.\n"
+    problem += f"unify: {tower(k, 'a')} =?= {tower(k, 'X')}.\n"
+    rc, out, err = run_cli(capsys, ["solve", write(tmp_path, problem), "--verify"])
+    assert (rc, err) == (0, "")
+    assert out.startswith("unifier 1:\n  X -> a\n\nstatus: exhausted\nfound: 1\n")
+
+
+def test_solve_constant_of_500_arguments(tmp_path, capsys):
+    n = 500
+    problem = "tp i.\nconst a : i.\nconst c : " + " > ".join(["i"] * (n + 1)) + ".\n"
+    problem += "".join(f"var X{k} : i.\n" for k in range(n))
+    problem += "unify: c" + " a" * n + " =?= c" + "".join(f" X{k}" for k in range(n)) + ".\n"
+    rc, out, err = run_cli(capsys, ["solve", write(tmp_path, problem), "--verify"])
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "unifier 1:"
+    assert sorted(lines[1:n + 1]) == sorted(f"  X{k} -> a" for k in range(n))
+    assert lines[n + 2:n + 4] == ["status: exhausted", "found: 1"]
+
+
+def test_index_prints_a_deep_term(tmp_path, capsys):
+    text = f"tp i.\nconst a : i.\nconst h : i > i.\nterm: {tower(5000, 'a')}.\n"
+    rc, out, err = run_cli(capsys, ["index", write(tmp_path, text, "index.hou")])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "term 1: " + "h (" * 4999 + "h a" + ")" * 4999
 
 
 # ---------------------------------------------------------------------------
@@ -386,3 +442,14 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0
     assert "identity" in proc.stdout
     assert "status: exhausted" in proc.stdout
+
+
+def test_python_m_hounif(tmp_path):
+    path = write(tmp_path, "tp i.\nconst a : i.\nunify: a =?= a.\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    proc = subprocess.run([sys.executable, "-m", "hounif", "solve", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("unifier 1:\n  identity\n")

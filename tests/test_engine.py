@@ -274,6 +274,18 @@ def test_tower_5000_solves_and_verifies_at_default_recursion_limit():
     assert got[0].apply(F) != F
 
 
+def test_constant_of_500_arguments_solves():
+    # hashing and comparing its type walks the 500 arguments without recursion
+    n = 500
+    c = Const("c", arrow([I] * n, I))
+    xs = [Free(k, I) for k in range(n)]
+    pairs = [(mk_app(c, [a] * n), mk_app(c, xs))]
+    st = solve(pairs, EngineConfig())
+    got = st.unifiers()
+    assert st.status == "exhausted" and len(got) == 1
+    assert verify_unifier(pairs, got[0]) and all(got[0].apply(x) == a for x in xs)
+
+
 def _stream_record(pairs, cfg, problem_vars, max_pulls=300):
     """A stream pulled until it ends or reaches `max_pulls`, as (the
     "pull:subst_key" line of each unifier, pulls, status, stats); every

@@ -1,12 +1,15 @@
 """Problem files: parsing goldens, declaration errors, printing
 roundtrips, and the unifier block format."""
 
+import re
+
 import pytest
 
 from termgen import subst_key
 from hounif.errors import DeclError, ParseError
 from hounif.problem_io import (
     AUX_PREFIX,
+    _tokenize,
     Problem,
     parse_index,
     parse_problem,
@@ -224,3 +227,54 @@ query-match: f a.
     assert idx.queries == (("unif", App(F, a)), ("match", App(f, a)))
     with pytest.raises(ParseError):
         parse_index("tp i. const a : i. unify: a =?= a.")
+
+
+def test_tokens_kinds_and_positions():
+    toks = _tokenize("query-unif: \\X:i>i.\n  %c\n F =?= G_1 -> (a) %end", line=3)
+    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+        ("ident", "query-unif", 3, 1), ("colon", ":", 3, 11), ("lam", "\\", 3, 13),
+        ("ident", "X", 3, 14), ("colon", ":", 3, 15), ("ident", "i", 3, 16),
+        ("gt", ">", 3, 17), ("ident", "i", 3, 18), ("dot", ".", 3, 19), ("ident", "F", 5, 2),
+        ("unifeq", "=?=", 5, 4), ("ident", "G_1", 5, 8), ("arrow", "->", 5, 12),
+        ("lparen", "(", 5, 15), ("ident", "a", 5, 16), ("rparen", ")", 5, 17),
+        ("eof", "", 5, 19),  # a comment does not advance the column
+    ]
+    # '-' belongs only to the query keywords, which end before a word character
+    assert [t.text for t in _tokenize("query-match query-unif-> query_unif")] == [
+        "query-match", "query-unif", "->", "query_unif", ""
+    ]
+    for text, message in [("a-b", "expected '->'"), ("query-unifx", "expected '->'"),
+                          ("a = b", "expected '=?='"), ("\u00b2", "unexpected character"),
+                          ("1a", "unexpected character")]:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            _tokenize(text)
+
+
+def test_deep_input_round_trips():
+    # at the default recursion limit: a 5,000-deep application tower, λ
+    # nest, parenthesized term and parenthesized type, and a 5,000-argument type
+    k = 5000
+    tower = "h (" * (k - 1) + "h a" + ")" * (k - 1)
+    binders = "".join(f"\\x{n}:i. " for n in range(1, k + 1))
+    text = (
+        "tp i.\nconst a : i.\nconst h : i > i.\n"
+        f"var F : {' > '.join(['i'] * (k + 1))}.\nvar G : {'(' * k}i > i{')' * k}.\nvar X : i.\n"
+        f"unify: {tower} =?= X.\n"
+        f"unify: F =?= {binders}x1.\n"
+        f"unify: G =?= {'(' * k}h{')' * k}.\n"
+    )
+    p = parse_problem(text)
+    assert p.variables["G"].ty == Arrow(I, I)
+    h, a = p.consts["h"], p.consts["a"]
+    t = a
+    for _ in range(k):
+        t = App(h, t)
+    assert p.goals[0][0] == t and p.goals[2][1] == h
+    printed = print_problem(p)
+    assert printed.splitlines()[-3] == f"unify: {tower} =?= X."
+    assert printed.splitlines()[-2] == f"unify: F =?= {binders}x1."
+    q = parse_problem(printed)
+    assert q.goals == p.goals and print_problem(q) == printed
+    sigma = Substitution(((p.variables["X"], t),))
+    assert print_unifier(sigma, p) == f"X -> {tower}\n"
+    assert parse_unifier(print_unifier(sigma, p), p).image_of(p.variables["X"].id) == t

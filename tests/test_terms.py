@@ -1,7 +1,11 @@
 """Term representation: typing, spine views, measures, ordering."""
 
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +40,8 @@ from hounif.terms import (
     term_order,
     type_of,
 )
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 a = Const("a", I)
 b = Const("b", I)
@@ -366,3 +372,30 @@ def test_repr_at_depth_5000():
     for _ in range(5000):
         t = Lam(I, t)
     assert repr(t) == "(\\:i. " * 5000 + "#0" + ")" * 5000
+
+
+def test_arrow_hash_equality_and_repr_along_5000_arguments():
+    # at the default recursion limit
+    ty, same, other = (arrow([I] * 5000, r) for r in (I, I, II))
+    assert ty == same and hash(ty) == hash(same) == hash((ty.dom, ty.cod))
+    assert ty != other and not ty == I and I != ty
+    assert repr(ty) == "i>" * 5000 + "i"
+    assert repr(arrow([II, I], II)) == "(i>i)>i>i>i"
+    assert Const("g", ty) == Const("g", same)
+
+
+def test_arrow_pickles_its_fields_only():
+    # a process with another string-hash seed pickles a type; the copy
+    # read back here hashes as one built here, and the bytes match
+    script = ("import pickle, sys; from hounif.terms import Arrow, Base; i = Base('i'); "
+              "sys.stdout.buffer.write(pickle.dumps("
+              "Arrow(Arrow(i, i), Arrow(i, Arrow(i, Arrow(i, i))))))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    data = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    ty = Arrow(Arrow(I, I), Arrow(I, Arrow(I, Arrow(I, I))))
+    assert data == pickle.dumps(ty)
+    back = pickle.loads(data)
+    assert back == ty == arrow([II, I], III)
+    assert hash(back) == hash(ty) == hash(arrow([II, I], III))
