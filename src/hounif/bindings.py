@@ -34,7 +34,9 @@ class Binding:
     entries: tuple[tuple[Free, Term], ...]
 
     def as_subst(self) -> Substitution:
-        return Substitution(self.entries)
+        """The binding as a substitution, unchecked: the engine applies it
+        with `TriangularSubst.extend`, which checks each image."""
+        return Substitution(self.entries, validate=False)
 
     def __repr__(self):
         inner = ", ".join(f"{v!r} -> {t!r}" for v, t in self.entries)

@@ -12,7 +12,8 @@ Two subcommands:
     Build a fingerprint index over the file's ``term:`` entries and
     answer its ``query-unif:``/``query-match:`` queries with candidate
     ids; with ``--verify``, also confirm candidates with the engine and
-    check that no confirmed pair was filtered out.
+    check that no confirmed pair was filtered out.  A pair the engine
+    cannot decide within its step budget is listed as undecided.
 
 Exit codes: 0 success, 1 no unifier found, 2 bad input, 3 internal
 invariant violation (including a ``--verify`` failure).
@@ -128,7 +129,8 @@ def _rename_apart(t, offset: int):
     return subst.apply(t)
 
 
-def _confirm(query, entry, mode: str) -> bool:
+def _confirm(query, entry, mode: str) -> Optional[bool]:
+    """Does the engine unify (or match) the pair?  None: budget stop, no unifier."""
     if type_of(query) != type_of(entry):
         return False
     if mode == "match":
@@ -138,7 +140,9 @@ def _confirm(query, entry, mode: str) -> bool:
         offset += max((v for v in free_vars(entry)), default=0)
         entry = _rename_apart(entry, offset)
     stream = solve([(query, entry)], EngineConfig(max_steps=_VERIFY_BUDGET))
-    return bool(stream.unifiers(limit=1))
+    if stream.unifiers(limit=1):
+        return True
+    return None if stream.status == "budget" else False
 
 
 def cmd_index(args) -> int:
@@ -162,18 +166,18 @@ def cmd_index(args) -> int:
         shown = " ".join(str(t) for t in sorted(cands))
         print(f"query {qid} {mode}: candidates [{shown}]")
         if args.verify:
-            confirmed = [
-                tid
-                for tid, term in enumerate(ix.entries, start=1)
-                if _confirm(qterm, term, mode)
-            ]
+            answers = [(tid, _confirm(qterm, term, mode))
+                       for tid, term in enumerate(ix.entries, start=1)]
+            confirmed = [tid for tid, yes in answers if yes]
             missed = [tid for tid in confirmed if tid not in cands]
             if missed:
                 raise InternalError(
                     f"query {qid}: retrieval missed confirmed ids {missed}"
                 )
-            shown = " ".join(str(t) for t in confirmed)
-            print(f"query {qid} {mode}: confirmed [{shown}]")
+            print(f"query {qid} {mode}: confirmed [{' '.join(map(str, confirmed))}]")
+            undecided = [tid for tid, yes in answers if yes is None]
+            if undecided:  # the engine could not tell within its budget
+                print(f"query {qid} {mode}: undecided [{' '.join(map(str, undecided))}]")
     ratio = 1.0 - (total_candidates / total_pairs) if total_pairs else 0.0
     print(f"filter-ratio: {ratio:.2f}")
     return 0
@@ -199,9 +203,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # reading, printing, solving and verifying do not recurse on the
-        # depth of a term; the engine's type walks (_type_size, _type_key
-        # and signature_types.add) still recurse on the arity of a type
+        # a last guard: reading, printing, solving and verifying recurse
+        # neither on the depth of a term nor on the arity of a type
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

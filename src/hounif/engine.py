@@ -67,6 +67,7 @@ from .subst import compose  # noqa: F401  (perfbench/tracer.py wraps engine.comp
 from .terms import (
     App,
     Arrow,
+    Base,
     Bound,
     Const,
     ELIMINATION,
@@ -307,42 +308,44 @@ def select(constraints: tuple[Constraint, ...], subst: TriangularSubst) -> Const
 
 
 def _type_size(ty: Type) -> int:
-    if isinstance(ty, Arrow):
-        return _type_size(ty.dom) + _type_size(ty.cod)
-    return 1
+    """The number of base types in ty: each puts one 0 in its key."""
+    return _type_key(ty).count(0)
 
 
-def _type_key(ty: Type):
-    if isinstance(ty, Arrow):
-        return (1, _type_key(ty.dom), _type_key(ty.cod))
-    return (0, ty.name)
+def _type_key(ty: Type) -> tuple:
+    """ty's nodes in pre-order, 1 for an arrow and 0, name for a base type:
+    a prefix-free code, so these flat keys order as the nested keys (1,
+    dom, cod) and (0, name) would, and comparing them does not recurse."""
+    key, todo = [], [ty]
+    while todo:
+        ty = todo.pop()
+        while type(ty) is Arrow:
+            key.append(1)
+            todo.append(ty.cod)
+            ty = ty.dom
+        key += (0, ty.name)
+    return tuple(key)
 
 
 def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
     """All types occurring in the given terms, closed under argument and
     result decomposition, in a deterministic order."""
     seen: set = set()
-
-    def add(ty: Type):
-        if ty in seen:
-            return
-        seen.add(ty)
-        if isinstance(ty, Arrow):
-            add(ty.dom)
-            add(ty.cod)
-
-    stack = list(terms)
+    stack = list(terms)  # terms and types
     while stack:
         t = stack.pop()
         cls = type(t)
         if cls is App:
-            stack.append(t.fn)
-            stack.append(t.arg)
+            stack += (t.fn, t.arg)
         elif cls is Lam:
-            add(t.binder)
-            stack.append(t.body)
+            stack += (t.binder, t.body)
+        elif cls is Arrow or cls is Base:
+            if t not in seen:
+                seen.add(t)
+                if cls is Arrow:
+                    stack += (t.dom, t.cod)
         else:
-            add(t.ty)
+            stack.append(t.ty)
     return tuple(sorted(seen, key=lambda ty: (_type_size(ty), _type_key(ty))))
 
 
@@ -464,7 +467,7 @@ def _trivial_unifier(c: Constraint, supply: FreshSupply) -> Substitution:
     entries = [(hl, mk_lams(arg_types(hl.ty), H))]
     if hr.id != hl.id:
         entries.append((hr, mk_lams(arg_types(hr.ty), H)))
-    return Substitution(entries)
+    return Substitution(entries, validate=False)  # checked by `TriangularSubst.extend`
 
 
 # ------------------------------------------------------------------- step

@@ -66,9 +66,12 @@ def hnf(t: Term) -> Term:
     tys, body = strip_lams(t)
     while True:
         head, args = spine(body)
-        if isinstance(head, Lam) and args:
-            body = mk_app(instantiate(head.body, args[0]), args[1:])
-        elif isinstance(body, Lam):
+        if type(head) is Lam and args:  # contract all the leading arguments
+            m = min(len(args), lam_depth(head))
+            for _ in range(m):
+                head = head.body
+            body = mk_app(instantiate(head, *args[:m]), args[m:])
+        elif type(body) is Lam:
             tys.append(body.binder)
             body = body.body
         else:
@@ -84,26 +87,6 @@ _EVAL, _SPINE, _WRAP, _REST = range(4)
 #: the environment of a plain traversal: no bound variable instantiated,
 #: none shifted
 _PLAIN = ((), 0, None)
-
-
-def _applied(head: _Value, argv: list[_Value], same: Optional[Term] = None) -> _Value:
-    """The value of a neutral head applied to argument values; `same`,
-    when given, is an existing term equal to that application, and then
-    nothing is built."""
-    term, size, height, loose = head
-    i = len(argv)
-    height += i
-    for a, s, h, l in argv:
-        if same is None:
-            term = App(term, a)
-        size += s
-        h += i
-        if h > height:
-            height = h
-        if l > loose:
-            loose = l
-        i -= 1
-    return (term if same is None else same), size, height, loose
 
 
 def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, bool]:
@@ -135,26 +118,6 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
     todo: list = [(_EVAL, t, 0, _PLAIN)]
     kept = True
     left = fuel.left
-
-    def contract(head: _Value, argv: list[_Value]) -> None:
-        nonlocal left
-        fn = head[0]
-        if type(fn) is not Lam:
-            out.append(_applied(head, argv))
-            return
-        left -= 1
-        if left < 0:
-            fuel.left = left
-            raise ReductionBudget
-        m = 0
-        while m < len(argv) and type(fn) is Lam:
-            fn = fn.body
-            m += 1
-        vals = tuple(argv[m - 1::-1])
-        used = [False] * m
-        todo.append((_REST, argv[m:], vals, used))
-        todo.append((_EVAL, fn, 0, (vals, 0, used)))
-
     while todo:
         frame = todo.pop()
         tag = frame[0]
@@ -205,24 +168,31 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
                 if value is None:
                     value = new_head, 1, 0, new_head.index + 1 if cls is Bound else 0
                 out.append(value)
-        elif tag == _SPINE:
+            continue
+        if tag == _SPINE:
             _, body, head, new_head, value, args_rev, head_eval = frame
             n = len(args_rev)
-            argv = out[-n:]
-            del out[-n:]
+            if n == 1:
+                argv = out.pop()
+                if value is None and head_eval is None:  # a neutral head: rebuild
+                    a, size, height, loose = argv
+                    if new_head is not head or a is not args_rev[0]:
+                        body = App(new_head, a)
+                    if type(new_head) is Bound and new_head.index >= loose:
+                        loose = new_head.index + 1
+                    out.append((body, size + 1, height + 1, loose))
+                    continue
+                argv = [argv]
+            else:
+                argv = out[-n:]
+                del out[-n:]
             if head_eval is not None:
                 value = out.pop()
-            if value is not None:
-                contract(value, argv)
-                continue
-            same = body if new_head is head else None
-            for a, _, _, _ in argv:
-                n -= 1
-                if a is not args_rev[n]:
-                    same = None
-                    break
-            loose = new_head.index + 1 if type(new_head) is Bound else 0
-            out.append(_applied((new_head, 1, 0, loose), argv, same))
+            same = None  # an existing term equal to the application
+            if value is None:
+                if new_head is head and all(v[0] is a for v, a in zip(argv, reversed(args_rev))):
+                    same = body
+                value = new_head, 1, 0, new_head.index + 1 if type(new_head) is Bound else 0
         elif tag == _WRAP:
             _, u, body, nl = frame
             term, size, height, loose = out.pop()
@@ -236,17 +206,49 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
                 for b in reversed(binders):
                     term = Lam(b, term)
             out.append((term, size + nl, height + nl, loose - nl if loose > nl else 0))
-        else:  # _REST: a contraction's body is done
-            _, rest, vals, used = frame
+            continue
+        else:  # _REST: a contraction's body is done; apply it to the rest
+            _, argv, vals, used = frame
             if kept and not all(used):
                 kept = all(
                     hit or type(v[0]) in (Bound, Const) for v, hit in zip(vals, used)
                 )
-            result = out.pop()
-            if rest:
-                contract(result, rest)
-            else:
-                out.append(result)
+            value = out.pop()
+            if not argv:
+                out.append(value)
+                continue
+            same = None
+        # apply `value` to the argument values `argv`
+        term, size, height, loose = value
+        if type(term) is Lam:  # contract: instantiate the leading binders
+            left -= 1
+            if left < 0:
+                fuel.left = left
+                raise ReductionBudget
+            n = len(argv)
+            m = 1
+            term = term.body
+            while m < n and type(term) is Lam:
+                term = term.body
+                m += 1
+            vals, argv = tuple(argv[m - 1::-1]), argv[m:]
+            used = [False] * m
+            todo.append((_REST, argv, vals, used))
+            todo.append((_EVAL, term, 0, (vals, 0, used)))
+            continue
+        i = len(argv)
+        height += i
+        for a, s, h, l in argv:
+            if same is None:
+                term = App(term, a)
+            size += s
+            h += i
+            if h > height:
+                height = h
+            if l > loose:
+                loose = l
+            i -= 1
+        out.append((term if same is None else same, size, height, loose))
     fuel.left = left
     return out[0], kept
 

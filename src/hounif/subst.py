@@ -12,6 +12,9 @@ under their composition resolved on demand by hereditary substitution
 and memoized, instead of an eagerly composed `Substitution`.  Resolution
 and `compose` normalize with the one beta pass, `normalize.hereditary`;
 the caller's size, depth and fuel caps are the only bounds on an image.
+A `Substitution` checks that its images are closed and well typed unless
+built with `validate=False`, as the engine's branch substitutions are:
+`TriangularSubst.extend` checks those, each image once.
 """
 
 from __future__ import annotations
@@ -177,21 +180,10 @@ class TriangularSubst:
         self.top = top
         #: (max image size, reduction fuel per resolution, max image depth)
         self.guard = guard
-        max_size, fuel, max_depth = guard
         #: var id -> its resolved entry here, or None if it is unbound here
         self._memo: dict[int, Optional[_Entry]] = {}
         #: var id -> rho's image of it, as a value of the hereditary pass
         self._images: dict[int, tuple[Term, int, int, int]] = {}
-        for var, image in rho.items():
-            try:
-                value, _ = hereditary(image, {}, Fuel(fuel))
-            except ReductionBudget:
-                raise Overgrown from None
-            image, size, height, _ = value
-            if size > max_size or height > max_depth:
-                raise Overgrown
-            self._memo[var.id] = (var, image, frozenset(free_vars(image)))
-            self._images[var.id] = value
 
     @classmethod
     def root(cls, max_size: int, fuel: int, max_depth: int) -> "TriangularSubst":
@@ -204,18 +196,37 @@ class TriangularSubst:
         """The child node applying rho after this substitution.  Nothing
         is composed: the cost is one lookup per variable of rho.
 
-        rho's variables must be unbound here, and its images may mention
-        no variable bound here or by rho itself."""
+        rho's variables must be unbound here, and its images closed, of
+        their variables' types and, once beta-normal, free of any variable
+        bound here or by rho itself; the type check reads the memo of
+        `type_of`, closedness the normalizing pass."""
         dom = rho._map
+        node = TriangularSubst(self, rho, max(self.top, max(dom, default=-1)), self.guard)
+        max_size, fuel, max_depth = self.guard
         for var, image in rho.items():
             if self._lookup(var.id) is not None:
                 raise IdempotenceViolation(f"{var!r} is already bound")
-            for i in free_vars(image):
+            it = type_of(image)
+            if it != var.ty:
+                raise IllTyped(f"image of {var!r} has type {it!r}, expected {var.ty!r}")
+            try:
+                value, _ = hereditary(image, {}, Fuel(fuel))
+            except ReductionBudget:
+                raise Overgrown from None
+            image, size, height, loose = value
+            if loose:
+                raise IllTyped(f"image of {var!r} has loose bound variables")
+            if size > max_size or height > max_depth:
+                raise Overgrown
+            fv = free_vars(image)
+            for i in fv:
                 if i in dom or self._lookup(i) is not None:
                     raise IdempotenceViolation(
                         f"image of {var!r} mentions the bound variable {i}"
                     )
-        return TriangularSubst(self, rho, max(self.top, max(dom, default=-1)), self.guard)
+            node._memo[var.id] = (var, image, frozenset(fv))
+            node._images[var.id] = value
+        return node
 
     # -- resolution ----------------------------------------------------
 

@@ -1,9 +1,11 @@
 """Simply typed lambda terms in de Bruijn representation.
 
-Terms are immutable and structurally shared.  Bound variables carry their
-type and a de Bruijn index (0 = innermost enclosing binder).  Free
-variables are identified by an interned integer id; display names live in
-a side table owned by whoever created the variable (see problem_io).
+Terms are immutable and structurally shared: no node is mutated after
+construction, apart from the type and hash memos of App and Lam nodes,
+each written once.  Bound variables carry their type and a de Bruijn
+index (0 = innermost enclosing binder).  Free variables are identified by
+an interned integer id; display names live in a side table owned by
+whoever created the variable (see problem_io).
 """
 
 from __future__ import annotations
@@ -16,25 +18,37 @@ from .errors import IllTyped
 # ---------------------------------------------------------------- types
 
 
-# Arrow, App and Lam carry slots beyond their fields: `_hash`, the
-# structural hash, which Arrow's `__init__` sets and App's and Lam's
-# `__hash__` memoizes, and on App and Lam `_ty`, where `type_of` memoizes
-# the node's type (reads go through `getattr(t, "_ty", None)`).  Neither is
-# a dataclass field: equality ignores them, and pickling saves the fields
-# only, as a slots dataclass does, so a pickle is the same bytes whether
-# typed or hashed or not, and carries no string hash to another process.
+# Base, Arrow, App and Lam carry slots beyond their fields: `_hash`, the
+# structural hash, which Base's and Arrow's `__init__` set and App's and
+# Lam's `__hash__` memoizes, and on App and Lam `_ty`, where `type_of`
+# memoizes the node's type (reads go through `getattr(t, "_ty", None)`).
+# Neither is a field: equality ignores them, and pickling saves the fields
+# only, so a pickle is the same bytes whether typed or hashed or not, and
+# carries no string hash to another process.
 def _fields_state(self):
     return [getattr(self, f) for f in self.__match_args__]
 
 
 def _set_fields_state(self, state):
-    for f, value in zip(self.__match_args__, state):
-        object.__setattr__(self, f, value)
+    self.__init__(*state)
 
 
-@dataclass(frozen=True, slots=True)
+def _stored_hash(self):
+    return self._hash
+
+
+@dataclass(frozen=True)
 class Base:
+    __slots__ = ("name", "_hash")
     name: str
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((name,)))
+
+    __getstate__ = _fields_state
+    __setstate__ = _set_fields_state
+    __hash__ = _stored_hash
 
     def __repr__(self):
         return self.name
@@ -55,12 +69,8 @@ class Arrow:
         object.__setattr__(self, "_hash", hash((dom, cod)))
 
     __getstate__ = _fields_state
-
-    def __setstate__(self, state):
-        self.__init__(*state)
-
-    def __hash__(self):
-        return self._hash
+    __setstate__ = _set_fields_state
+    __hash__ = _stored_hash
 
     def __eq__(self, other):
         if other.__class__ is not Arrow:
@@ -171,7 +181,7 @@ def _term_hash(self):
         app = type(t) is App
         if kids_done:
             h = hash((t.fn, t.arg)) if app else hash((t.binder, t.body))
-            object.__setattr__(t, "_hash", h)
+            t._hash = h
             continue
         todo.append((t, True))
         for u in (t.fn, t.arg) if app else (t.body,):
@@ -248,11 +258,15 @@ def _term_repr(self):
     return "".join(out)
 
 
-@dataclass(frozen=True)
+# App and Lam are plain slotted classes, like the engine's Constraint: a
+# frozen dataclass's `__init__` costs about 2.5 times as much.
 class App:
     __slots__ = ("fn", "arg", "_ty", "_hash")
-    fn: "Term"
-    arg: "Term"
+    __match_args__ = ("fn", "arg")
+
+    def __init__(self, fn: "Term", arg: "Term"):
+        self.fn = fn
+        self.arg = arg
 
     __getstate__ = _fields_state
     __setstate__ = _set_fields_state
@@ -262,11 +276,13 @@ class App:
     __repr__ = _term_repr
 
 
-@dataclass(frozen=True)
 class Lam:
     __slots__ = ("binder", "body", "_ty", "_hash")
-    binder: Type
-    body: "Term"
+    __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: Type, body: "Term"):
+        self.binder = binder
+        self.body = body
 
     __getstate__ = _fields_state
     __setstate__ = _set_fields_state
@@ -382,14 +398,17 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     return rebuild(t, Bound, leaf)
 
 
-def instantiate(body: Term, arg: Term) -> Term:
-    """Contract one beta redex: replace index 0 of `body` by `arg`."""
+def instantiate(body: Term, *args: Term) -> Term:
+    """Contract a redex's leading binders at once: `body` is what lies under
+    len(args) of them, args[0] replaces the outermost one's variable, and
+    the other loose indices drop by len(args)."""
+    m = len(args)
 
     def leaf(u: Bound, depth: int) -> Term:
-        i = u.index
-        if i == depth:
-            return shift(arg, depth)
-        return Bound(i - 1, u.ty) if i > depth else u
+        j = u.index - depth
+        if 0 <= j < m:
+            return shift(args[m - 1 - j], depth) if depth else args[m - 1 - j]
+        return Bound(u.index - m, u.ty) if j >= m else u
 
     return rebuild(body, Bound, leaf)
 
@@ -507,7 +526,7 @@ def type_of(t: Term) -> Type:
             if tf.dom is not ta and tf.dom != ta:
                 raise IllTyped(f"argument type {ta!r} does not match expected {tf.dom!r}")
             ty = tf.cod
-        object.__setattr__(u, "_ty", ty)
+        u._ty = ty
         todo.pop()
     return ty
 

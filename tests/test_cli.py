@@ -429,6 +429,23 @@ def test_demo_index_file_verifies(capsys):
     assert "filter-ratio:" in out
 
 
+def test_index_verify_reports_undecided_pairs(tmp_path, capsys):
+    # h X unifies with h^600 a, but the engine's stream stops at its image
+    # depth cap before the unifier X -> h^599 a: undecided, not a miss
+    text = (
+        "tp i.\nconst a : i.\nconst h : i > i.\nvar X : i.\n"
+        f"term: {tower(600, 'a')}.\nterm: a.\nterm: h a.\nquery-unif: h X.\n"
+    )
+    rc, out, err = run_cli(capsys, ["index", write(tmp_path, text, "index.hou"), "--verify"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[3:] == [
+        "query 1 unif: candidates [1 3]",
+        "query 1 unif: confirmed [3]",
+        "query 1 unif: undecided [1]",
+        "filter-ratio: 0.33",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------

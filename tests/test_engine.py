@@ -25,6 +25,8 @@ from hounif.problem_io import parse_problem
 from hounif.subst import FreshSupply, Substitution, TriangularSubst
 from hounif.terms import (
     App,
+    Arrow,
+    Base,
     Bound,
     Const,
     Free,
@@ -284,6 +286,48 @@ def test_constant_of_500_arguments_solves():
     got = st.unifiers()
     assert st.status == "exhausted" and len(got) == 1
     assert verify_unifier(pairs, got[0]) and all(got[0].apply(x) == a for x in xs)
+
+
+def _wide_signature_stream(n):
+    """G1 a =?= G2 a next to g =?= g, g a constant of n arguments whose
+    type the iteration bindings' signature holds, pulled to its end."""
+    G1, G2 = Free(0, II), Free(1, II)
+    c = Const("g", arrow([I] * n, I))
+    st = solve([(App(G1, a), App(G2, a)), (c, c)], EngineConfig(oracles=(), max_steps=300))
+    return st, st.unifiers(max_pulls=2_000)
+
+
+@pytest.mark.parametrize("n", [500, 1_000])
+def test_signature_type_walks_do_not_recurse_on_arity(n):
+    # at n = 1,000 `signature_types` raised RecursionError; the 500 record
+    # is the one the recursive type walks gave
+    st, got = _wide_signature_stream(n)
+    assert st.status == "budget"
+    if n == 500:
+        assert (len(got), st.pulls) == (22, 59)
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "e879da132b75f34e"
+
+
+def test_flat_type_keys_order_as_nested_keys():
+    def nested(ty):
+        if isinstance(ty, Arrow):
+            return (1, nested(ty.dom), nested(ty.cod))
+        return (0, ty.name)
+
+    rng = random.Random(5)
+    bases = [I, Base("j"), Base("o")]
+    types = []
+    for _ in range(300):
+        ty = rng.choice(bases)
+        for _ in range(rng.randrange(4)):
+            other = rng.choice(types) if types and rng.random() < 0.5 else rng.choice(bases)
+            ty = Arrow(ty, other) if rng.random() < 0.5 else Arrow(other, ty)
+        types.append(ty)
+    for s, t in zip(types, types[1:] + types[:1]):
+        want = (nested(s) > nested(t)) - (nested(s) < nested(t))
+        ks, kt = engine._type_key(s), engine._type_key(t)
+        assert (ks > kt) - (ks < kt) == want
+        assert engine._type_size(s) == str(nested(s)).count("(0,")
 
 
 def _stream_record(pairs, cfg, problem_vars, max_pulls=300):
@@ -863,6 +907,30 @@ def test_budget_stop_streams_pinned(name, max_steps):
     assert (got_pulls, got_status) == (pulls, status)
     assert got_stats == want_stats
     assert sum(got_stats.values()) == max_steps
+
+
+#: 200 seeded termgen problems, each solved under the complete variant,
+#: with no oracles and under the pragmatic variant, and pulled to 3
+#: unifiers or 60 pulls: the first 16 hex digits of the sha256 of one
+#: "trial unifiers status stats pulls" line per run
+PINNED_CORPUS_DIGEST = "250b534e3455e5a8"
+
+
+def test_seeded_corpus_streams_pinned():
+    """The unifiers (with the ids of their fresh variables), the end, the
+    transitions and the pulls of each run are those of the pinned runs."""
+    configs = (EngineConfig(), NO_ORACLES, EngineConfig(variant="pragmatic"))
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    for trial in range(200):
+        frees = make_frees(rng, 3, 10)
+        pairs = [gen_pair(rng, mode="any", frees_l=frees, max_size=7)]
+        for cfg in configs:
+            st = solve(pairs, cfg)
+            got = st.unifiers(limit=3, max_pulls=60)
+            line = f"{trial} {got!r} {st.status} {sorted(st.stats.items())} {st.pulls}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest()[:16] == PINNED_CORPUS_DIGEST
 
 
 def test_unknown_variant_rejected():

@@ -5,23 +5,30 @@ import random
 import pytest
 
 import termgen
-from termgen import I, II, gen_term, is_beta_normal, make_frees, nbe
-from hounif import normalize
+from termgen import I, II, gen_term, is_beta_normal, make_frees, nbe, size
+from hounif import bindings, normalize
 from hounif.normalize import (
+    Fuel,
+    ReductionBudget,
     beta_normal,
     canonical,
     eta_expand_prefix,
     eta_long,
+    hereditary,
     hnf,
 )
+from hounif.subst import FreshSupply, Substitution
 from hounif.terms import (
     App,
     Bound,
     Const,
     Lam,
+    free_vars,
+    instantiate,
     lam_depth,
     loose_bound_ids,
     mk_app,
+    mk_lams,
     shift,
     spine,
     strip_lams,
@@ -121,6 +128,108 @@ def test_hnf_contracts_a_redex_with_a_deep_body():
     for _ in range(3_000):
         body, expected = App(h, body), App(h, expected)
     assert hnf(App(Lam(I, body), a)) == expected
+
+
+def _hnf_stepwise(t):
+    """hnf contracting one argument at a time, as a reference."""
+    tys, body = strip_lams(t)
+    while True:
+        head, args = spine(body)
+        if isinstance(head, Lam) and args:
+            body = mk_app(instantiate(head.body, args[0]), args[1:])
+        elif isinstance(body, Lam):
+            tys.append(body.binder)
+            body = body.body
+        else:
+            return mk_lams(tys, body)
+
+
+def test_hnf_contracting_all_arguments_at_once_is_stepwise_hnf():
+    rng = random.Random(12)
+    frees = make_frees(rng, 3, 100)
+    seen = 0
+    for k in range(2_000):
+        ty = termgen.rand_type(rng)
+        fn = gen_term(rng, ty, depth=rng.randint(1, 3), frees=frees)
+        doms = termgen.arg_types(ty)
+        args = [gen_term(rng, d, depth=1, frees=frees) for d in doms]
+        t = mk_app(fn, args[: rng.randint(0, len(args))])
+        if k % 2:  # under a binder that the arguments mention
+            t = Lam(I, mk_app(shift(fn, 1), [App(f, Bound(0, I)) if d == I else shift(x, 1)
+                                             for d, x in zip(doms, args)]))
+        t = obfuscate(rng, t) if k % 3 == 0 else t
+        seen += lam_depth(spine(strip_lams(t)[1])[0]) > 1
+        assert hnf(t) == _hnf_stepwise(t)
+    assert seen > 200  # redexes of several binders were contracted at once
+
+
+def test_instantiate_several_is_instantiate_one_at_a_time():
+    body = mk_app(g, [Bound(2, I), mk_app(g, [Bound(0, I), Bound(1, I)])])
+    x, y = App(f, Bound(0, I)), a  # x mentions a binder outside the redex
+    at_once = instantiate(body, x, y)
+    assert at_once == instantiate(instantiate(Lam(I, body), x).body, y)
+    assert at_once == mk_app(g, [Bound(0, I), mk_app(g, [y, x])])
+
+
+def _measures(t):
+    """(size, height, loose bound) of t by an independent recursive walk:
+    App and Lam nodes add 1 to the height, and loose bound is one more
+    than the largest loose index (0 when t is closed)."""
+    if isinstance(t, App):
+        (sf, hf, _), (sa, ha, _) = _measures(t.fn), _measures(t.arg)
+        return sf + sa, 1 + max(hf, ha), 1 + max(loose_bound_ids(t), default=-1)
+    if isinstance(t, Lam):
+        sb, hb, _ = _measures(t.body)
+        return 1 + sb, 1 + hb, 1 + max(loose_bound_ids(t), default=-1)
+    return 1, 0, t.index + 1 if isinstance(t, Bound) else 0
+
+
+def _value(image):
+    return hereditary(image, {}, Fuel())[0]
+
+
+def test_hereditary_values_and_fuel_on_seeded_terms():
+    """On seeded terms (redexes among them) and seeded images, binding
+    images included: the term is beta_normal of the plain substitution,
+    the measures are those of an independent walk, the pass runs on
+    exactly the fuel it spends, and `kept` means no free variable was
+    lost."""
+    rng = random.Random(31)
+    frees = make_frees(rng, 4, 100)
+    other = make_frees(rng, 2, 200)
+    supply = FreshSupply(1_000)
+    dropped = 0
+    for trial in range(400):
+        images = {}
+        for F in frees:
+            pick = rng.random()
+            if pick < 0.3:
+                images[F.id] = _value(gen_term(rng, F.ty, depth=2, frees=other))
+            elif pick < 0.6 and termgen.result_type(F.ty) == I:
+                c = rng.choice([c for c in termgen.CONSTS if termgen.result_type(c.ty) == I])
+                ((_, image),) = bindings.imitation(F, c, supply).entries
+                images[F.id] = _value(image)
+        t = gen_term(rng, termgen.rand_type(rng), depth=3, frees=frees + other)
+        if trial % 2:
+            t = obfuscate(rng, t)
+        meter = Fuel(10**9)
+        (term, *measures), kept = hereditary(t, images, meter)
+        spent = 10**9 - meter.left
+        sigma = Substitution([(F, images[F.id][0]) for F in frees if F.id in images])
+        assert term == beta_normal(sigma.apply(t))
+        assert tuple(measures) == _measures(term)
+        assert measures[0] == size(term)
+        exact = Fuel(spent)
+        assert hereditary(t, images, exact) == ((term, *measures), kept) and exact.left == 0
+        with pytest.raises(ReductionBudget):
+            hereditary(t, images, Fuel(spent - 1))
+        if kept:
+            want = {i for i in free_vars(t) if i not in images}
+            want.update(*(free_vars(images[i][0]) for i in free_vars(t) if i in images))
+            assert free_vars(term).keys() == want
+        else:
+            dropped += 1
+    assert dropped  # some contraction dropped an argument
 
 
 def test_canonical_matches_independent_normalizer():

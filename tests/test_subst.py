@@ -7,7 +7,7 @@ import pytest
 
 import termgen
 from termgen import I, II, III, gen_term, nbe, size
-from hounif import bindings
+from hounif import bindings, subst
 from hounif.errors import IdempotenceViolation, IllTyped
 from hounif.normalize import beta_normal, canonical
 from hounif.subst import (
@@ -170,6 +170,27 @@ def test_triangular_extension_is_checked():
     assert child.image_of(1) == Lam(I, App(f, App(f, Bound(0, I))))  # beta-normal
     assert tri.image_of(1) == Lam(I, App(G, App(f, Bound(0, I))))  # parent unchanged
     assert child.image_of(3) is None
+
+
+def test_triangular_extension_checks_unvalidated_images(monkeypatch):
+    # the engine's bindings and oracle unifiers are built unvalidated;
+    # extend raises what Substitution's validation would, and types and
+    # walks each image once
+    F = Free(1, II)
+    root = TriangularSubst.root(100, 10_000, 250)
+    for image, message in ((a, "has type i, expected i>i"),
+                           (Lam(I, App(f, Bound(1, I))), "has loose bound variables")):
+        with pytest.raises(IllTyped, match=message):
+            Substitution(((F, image),))
+        with pytest.raises(IllTyped, match=message):
+            root.extend(Substitution(((F, image),), validate=False))
+    calls = []
+    monkeypatch.setattr(subst, "type_of", lambda t: calls.append(t) or type_of(t))
+    monkeypatch.setattr(subst, "free_vars", lambda t: calls.append(t) or free_vars(t))
+    image = Lam(I, App(f, App(Free(2, II), Bound(0, I))))
+    binding = bindings.Binding("imitation", ((F, image),))
+    child = root.extend(binding.as_subst())
+    assert calls == [image, image] and child.image_of(1) is image
 
 
 def test_triangular_resolution_is_guarded():

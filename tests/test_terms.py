@@ -16,6 +16,7 @@ from hounif.errors import IllTyped
 from hounif.terms import (
     App,
     Arrow,
+    Base,
     Bound,
     Const,
     Free,
@@ -399,3 +400,35 @@ def test_arrow_pickles_its_fields_only():
     back = pickle.loads(data)
     assert back == ty == arrow([II, I], III)
     assert hash(back) == hash(ty) == hash(arrow([II, I], III))
+
+
+def test_app_and_lam_are_plain_slotted_nodes():
+    # no instance dict; the memoized hash is the one hash(fields) gives
+    t = Lam(I, mk_app(g, [Bound(0, I), App(f, a)]))
+    assert not hasattr(t, "__dict__") and not hasattr(t.body, "__dict__")
+    assert hash(t) == hash((I, t.body)) and hash(t.body) == hash((t.body.fn, App(f, a)))
+    assert t == Lam(I, mk_app(g, [Bound(0, I), App(f, a)])) and t != Lam(II, t.body)
+    assert App(f, a) != App(f, b) and App(f, a) != Lam(I, a) and not App(f, a) == a
+    # pickling keeps the fields only: the same bytes before and after
+    # typing and hashing, and a copy that equals and hashes as the original
+    fresh = Lam(I, mk_app(g, [Bound(0, I), App(f, a)]))
+    data = pickle.dumps(fresh)
+    type_of(fresh)
+    hash(fresh)
+    assert pickle.dumps(fresh) == data
+    back = pickle.loads(data)
+    assert back == t and back is not t and hash(back) == hash(t) and type_of(back) == II
+    match back:
+        case Lam(binder, App(App(head, Bound(index=0)), App(fn=fn, arg=arg))):
+            assert (binder, head, fn, arg) == (I, g, f, a)
+        case _:
+            raise AssertionError("class patterns do not match")
+
+
+def test_base_type_keeps_its_hash_and_pickles_its_name():
+    j = Base("j")
+    assert hash(j) == hash(("j",)) and j == Base("j") and j != I
+    assert pickle.loads(pickle.dumps(j)) == j and hash(pickle.loads(pickle.dumps(j))) == hash(j)
+    match j:
+        case Base(name):
+            assert name == "j"
