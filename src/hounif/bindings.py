@@ -34,8 +34,7 @@ class Binding:
     entries: tuple[tuple[Free, Term], ...]
 
     def as_subst(self) -> Substitution:
-        """The binding as a substitution, unchecked: the engine applies it
-        with `TriangularSubst.extend`, which checks each image."""
+        """Unchecked: `TriangularSubst.extend` checks each image."""
         return Substitution(self.entries, validate=False)
 
     def __repr__(self):

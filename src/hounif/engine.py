@@ -307,14 +307,10 @@ def select(constraints: tuple[Constraint, ...], subst: TriangularSubst) -> Const
 # ------------------------------------------------------- binding families
 
 
-def _type_size(ty: Type) -> int:
-    """The number of base types in ty: each puts one 0 in its key."""
-    return _type_key(ty).count(0)
-
-
-def _type_key(ty: Type) -> tuple:
-    """ty's nodes in pre-order, 1 for an arrow and 0, name for a base type:
-    a prefix-free code, so these flat keys order as the nested keys (1,
+def _type_key(ty: Type) -> tuple[int, tuple]:
+    """ty's sort key: its number of base types, then its nodes in
+    pre-order, 1 for an arrow and 0, name for a base type.  That is a
+    prefix-free code, so these flat keys order as the nested keys (1,
     dom, cod) and (0, name) would, and comparing them does not recurse."""
     key, todo = [], [ty]
     while todo:
@@ -324,7 +320,7 @@ def _type_key(ty: Type) -> tuple:
             todo.append(ty.cod)
             ty = ty.dom
         key += (0, ty.name)
-    return tuple(key)
+    return key.count(0), tuple(key)
 
 
 def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
@@ -346,7 +342,7 @@ def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
                     stack += (t.dom, t.cod)
         else:
             stack.append(t.ty)
-    return tuple(sorted(seen, key=lambda ty: (_type_size(ty), _type_key(ty))))
+    return tuple(sorted(seen, key=_type_key))
 
 
 def _y_tuples(sig_types: tuple[Type, ...]) -> Iterator[tuple[Type, ...]]:
@@ -355,13 +351,15 @@ def _y_tuples(sig_types: tuple[Type, ...]) -> Iterator[tuple[Type, ...]]:
     for length in itertools.count(1):
         if not sig_types:
             return
+        key = {ty: _type_key(ty) for ty in sig_types}
         tuples = sorted(
             itertools.product(sig_types, repeat=length),
             key=lambda tp: (
-                sum(_type_size(ty) for ty in tp),
-                tuple(_type_key(ty) for ty in tp),
+                sum(key[ty][0] for ty in tp),
+                tuple(key[ty][1] for ty in tp),
             ),
         )
+        del key  # a paused generator keeps no keys
         yield from tuples
 
 

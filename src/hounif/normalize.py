@@ -174,7 +174,7 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
             n = len(args_rev)
             if n == 1:
                 argv = out.pop()
-                if value is None and head_eval is None:  # a neutral head: rebuild
+                if value is None and head_eval is None:  # a neutral head (most spines): rebuild
                     a, size, height, loose = argv
                     if new_head is not head or a is not args_rev[0]:
                         body = App(new_head, a)
@@ -213,10 +213,9 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
                 kept = all(
                     hit or type(v[0]) in (Bound, Const) for v, hit in zip(vals, used)
                 )
-            value = out.pop()
-            if not argv:
-                out.append(value)
+            if not argv:  # the body's value is the result
                 continue
+            value = out.pop()
             same = None
         # apply `value` to the argument values `argv`
         term, size, height, loose = value

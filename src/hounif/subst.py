@@ -12,9 +12,8 @@ under their composition resolved on demand by hereditary substitution
 and memoized, instead of an eagerly composed `Substitution`.  Resolution
 and `compose` normalize with the one beta pass, `normalize.hereditary`;
 the caller's size, depth and fuel caps are the only bounds on an image.
-A `Substitution` checks that its images are closed and well typed unless
-built with `validate=False`, as the engine's branch substitutions are:
-`TriangularSubst.extend` checks those, each image once.
+The engine builds its substitutions unvalidated (`validate=False`);
+`TriangularSubst.extend` checks each of their images once.
 """
 
 from __future__ import annotations
@@ -196,36 +195,41 @@ class TriangularSubst:
         """The child node applying rho after this substitution.  Nothing
         is composed: the cost is one lookup per variable of rho.
 
-        rho's variables must be unbound here, and its images closed, of
-        their variables' types and, once beta-normal, free of any variable
-        bound here or by rho itself; the type check reads the memo of
-        `type_of`, closedness the normalizing pass."""
+        First, for all of rho: its variables must be unbound here and its
+        images of their types.  Then each image's beta-normal form, kept
+        by the node, must be closed and free of the variables bound here
+        or by rho, which is looser than checking a non-normal image as
+        given.  Overgrown comes only after all these checks."""
         dom = rho._map
-        node = TriangularSubst(self, rho, max(self.top, max(dom, default=-1)), self.guard)
-        max_size, fuel, max_depth = self.guard
         for var, image in rho.items():
             if self._lookup(var.id) is not None:
                 raise IdempotenceViolation(f"{var!r} is already bound")
             it = type_of(image)
             if it != var.ty:
                 raise IllTyped(f"image of {var!r} has type {it!r}, expected {var.ty!r}")
+        node = TriangularSubst(self, rho, max(self.top, max(dom, default=-1)), self.guard)
+        max_size, fuel, max_depth = self.guard
+        overgrown = False
+        for var, image in rho.items():
             try:
                 value, _ = hereditary(image, {}, Fuel(fuel))
             except ReductionBudget:
-                raise Overgrown from None
+                overgrown = True
+                continue
             image, size, height, loose = value
             if loose:
                 raise IllTyped(f"image of {var!r} has loose bound variables")
-            if size > max_size or height > max_depth:
-                raise Overgrown
             fv = free_vars(image)
             for i in fv:
                 if i in dom or self._lookup(i) is not None:
                     raise IdempotenceViolation(
                         f"image of {var!r} mentions the bound variable {i}"
                     )
+            overgrown = overgrown or size > max_size or height > max_depth
             node._memo[var.id] = (var, image, frozenset(fv))
             node._images[var.id] = value
+        if overgrown:
+            raise Overgrown
         return node
 
     # -- resolution ----------------------------------------------------

@@ -42,7 +42,7 @@ O = Base("o")  # a second base type, for result-type mismatches
 def _well_formed(binding):
     """Every binding yields a valid substitution with closed, well-typed,
     canonical-ready images."""
-    sigma = binding.as_subst()  # constructor validates types/closure
+    sigma = binding.as_subst()  # unchecked: the asserts below check each image
     for var, image in binding.entries:
         assert is_closed(image)
         assert type_of(image) == var.ty

@@ -325,9 +325,9 @@ def test_flat_type_keys_order_as_nested_keys():
         types.append(ty)
     for s, t in zip(types, types[1:] + types[:1]):
         want = (nested(s) > nested(t)) - (nested(s) < nested(t))
-        ks, kt = engine._type_key(s), engine._type_key(t)
+        (size, ks), (_, kt) = engine._type_key(s), engine._type_key(t)
         assert (ks > kt) - (ks < kt) == want
-        assert engine._type_size(s) == str(nested(s)).count("(0,")
+        assert size == str(nested(s)).count("(0,")
 
 
 def _stream_record(pairs, cfg, problem_vars, max_pulls=300):

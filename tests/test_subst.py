@@ -193,6 +193,31 @@ def test_triangular_extension_checks_unvalidated_images(monkeypatch):
     assert calls == [image, image] and child.image_of(1) is image
 
 
+def test_triangular_extension_reads_normal_images_and_overgrows_last():
+    # closedness and idempotence read the beta-normal image: a redex that
+    # drops a bound variable or a loose index passes, and the node keeps
+    # the normal form
+    X, Y, Z, V = Free(1, I), Free(2, I), Free(3, I), Free(5, I)
+    node = TriangularSubst.root(3, 10_000, 250).extend(Substitution(((X, a), (V, a))))
+    drop = Lam(I, a)
+    child = node.extend(
+        Substitution(((Y, App(drop, X)), (Z, App(drop, Bound(4, I)))), validate=False)
+    )
+    assert child.image_of(2) is a and child.image_of(3) is a
+    with pytest.raises(IdempotenceViolation, match="mentions the bound variable 1"):
+        node.extend(Substitution(((Y, App(f, X)),)))
+    # an image over the size cap, or out of fuel, does not hide a rule
+    # that a later variable breaks
+    starved = TriangularSubst.root(3, 2, 250).extend(Substitution(((X, a), (V, a))))
+    for first, root in ((App(f, App(f, App(f, a))), node), (App(drop, a), starved)):
+        with pytest.raises(Overgrown):
+            root.extend(Substitution(((Y, first),)))
+        with pytest.raises(IdempotenceViolation, match="is already bound"):
+            root.extend(Substitution(((Y, first), (V, a))))
+        with pytest.raises(IdempotenceViolation, match="mentions the bound variable 1"):
+            root.extend(Substitution(((Y, first), (Z, App(f, X)))))
+
+
 def test_triangular_resolution_is_guarded():
     F, G = Free(1, II), Free(2, II)
     twice_g = Substitution(((F, Lam(I, App(G, App(G, Bound(0, I))))),))
