@@ -47,7 +47,7 @@ def jp_projection(F: Free, i: int) -> Binding | None:
     result type (no fresh variables needed)."""
     alphas = arg_types(F.ty)
     n = len(alphas)
-    if not 1 <= i <= n or alphas[i - 1] != result_type(F.ty):
+    if not 1 <= i <= n or alphas[i - 1] is not result_type(F.ty):
         return None
     image = mk_lams(alphas, Bound(n - i, alphas[i - 1]))
     return Binding("jp_projection", ((F, image),))
@@ -62,7 +62,7 @@ def huet_projection(F: Free, i: int, supply: FreshSupply) -> Binding | None:
     if not 1 <= i <= n:
         return None
     gammas = arg_types(alphas[i - 1])
-    if result_type(alphas[i - 1]) != beta:
+    if result_type(alphas[i - 1]) is not beta:
         return None
     xs = bvars(n, alphas)
     fresh = [supply.fresh(arrow(alphas, g)) for g in gammas]
@@ -74,7 +74,7 @@ def huet_projection(F: Free, i: int, supply: FreshSupply) -> Binding | None:
 def imitation(F: Free, g: Const, supply: FreshSupply) -> Binding | None:
     """F -> \\x1...xn. g (F1 xbar) ... (Fm xbar)."""
     alphas = arg_types(F.ty)
-    if result_type(g.ty) != result_type(F.ty):
+    if result_type(g.ty) is not result_type(F.ty):
         return None
     gammas = arg_types(g.ty)
     xs = bvars(len(alphas), alphas)
@@ -111,7 +111,7 @@ def identification(F: Free, G: Free, supply: FreshSupply) -> Binding | None:
     alphas = arg_types(F.ty)
     gammas = arg_types(G.ty)
     beta = result_type(F.ty)
-    if result_type(G.ty) != beta:
+    if result_type(G.ty) is not beta:
         return None
     n, m = len(alphas), len(gammas)
     H = supply.fresh(arrow(list(alphas) + list(gammas), beta), IDENTIFICATION)

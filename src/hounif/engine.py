@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import oracles as _oracles
@@ -179,7 +179,7 @@ class Constraint:
     @staticmethod
     def make(s: Term, t: Term, seq: int, counters: Limits = NO_BINDINGS) -> "Constraint":
         ts, tt = type_of(s), type_of(t)
-        if ts is not tt and ts != tt:
+        if ts is not tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
         sv, tv = _view(s), _view(t)
         (stys, hs, _), (ttys, ht, _) = sv, tv
@@ -307,25 +307,28 @@ def select(constraints: tuple[Constraint, ...], subst: TriangularSubst) -> Const
 # ------------------------------------------------------- binding families
 
 
-def _type_key(ty: Type) -> tuple[int, tuple]:
-    """ty's sort key: its number of base types, then its nodes in
-    pre-order, 1 for an arrow and 0, name for a base type.  That is a
-    prefix-free code, so these flat keys order as the nested keys (1,
-    dom, cod) and (0, name) would, and comparing them does not recurse."""
-    key, todo = [], [ty]
-    while todo:
-        ty = todo.pop()
-        while type(ty) is Arrow:
-            key.append(1)
-            todo.append(ty.cod)
-            ty = ty.dom
-        key += (0, ty.name)
-    return key.count(0), tuple(key)
+def type_order(s: Type, t: Type) -> int:
+    """-1, 0 or 1 as s sorts below, equal to or above t: by number of base
+    types, then by the nested key (1, dom, cod) or (0, name), walking both
+    types with an explicit stack to the first pair that are not one type."""
+    if s.bases != t.bases:
+        return -1 if s.bases < t.bases else 1
+    pending = [(s, t)]
+    while pending:
+        s, t = pending.pop()
+        if s is t:
+            continue
+        if type(s) is not type(t):
+            return 1 if type(s) is Arrow else -1
+        if type(s) is Base:  # distinct base types have distinct names
+            return -1 if s.name < t.name else 1
+        pending += ((s.cod, t.cod), (s.dom, t.dom))
+    return 0
 
 
 def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
     """All types occurring in the given terms, closed under argument and
-    result decomposition, in a deterministic order."""
+    result decomposition, in `type_order`."""
     seen: set = set()
     stack = list(terms)  # terms and types
     while stack:
@@ -342,25 +345,22 @@ def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
                     stack += (t.dom, t.cod)
         else:
             stack.append(t.ty)
-    return tuple(sorted(seen, key=_type_key))
+    return tuple(sorted(seen, key=cmp_to_key(type_order)))
 
 
 def _y_tuples(sig_types: tuple[Type, ...]) -> Iterator[tuple[Type, ...]]:
-    """All tuples over the signature's types, by (length, total size)."""
+    """All tuples over the signature's types, by length, number of base
+    types, then the types' ranks in `sig_types` from the left."""
     yield ()
     for length in itertools.count(1):
         if not sig_types:
             return
-        key = {ty: _type_key(ty) for ty in sig_types}
-        tuples = sorted(
-            itertools.product(sig_types, repeat=length),
-            key=lambda tp: (
-                sum(key[ty][0] for ty in tp),
-                tuple(key[ty][1] for ty in tp),
-            ),
+        ranks = sorted(
+            itertools.product(range(len(sig_types)), repeat=length),
+            key=lambda tp: (sum(sig_types[r].bases for r in tp), tp),
         )
-        del key  # a paused generator keeps no keys
-        yield from tuples
+        for tp in ranks:
+            yield tuple(sig_types[r] for r in tp)
 
 
 def _iterations_for(F: Free, positions: list[int], search: Search) -> Iterator[Binding]:

@@ -245,7 +245,7 @@ class _Parser:
     @staticmethod
     def _apply(fn: Term, arg: Term, at: _Tok) -> Term:
         fn_ty = type_of(fn)
-        if not isinstance(fn_ty, Arrow) or fn_ty.dom != type_of(arg):
+        if not isinstance(fn_ty, Arrow) or fn_ty.dom is not type_of(arg):
             raise DeclError(
                 f"ill-typed application near {at.line}:{at.col}: "
                 f"{fn_ty} applied to {type_of(arg)}"

@@ -27,6 +27,7 @@ from .terms import (
     PLAIN,
     Term,
     Type,
+    check_image,
     free_vars,
     is_closed,
     rebuild,
@@ -48,7 +49,7 @@ class Substitution:
                 if not is_closed(image):
                     raise IllTyped(f"image of {var!r} has loose bound variables")
                 it = type_of(image)
-                if it != var.ty:
+                if it is not var.ty:
                     raise IllTyped(
                         f"image of {var!r} has type {it!r}, expected {var.ty!r}"
                     )
@@ -160,13 +161,13 @@ class TriangularSubst:
     the result, so descendants and siblings reuse it; an unbound variable
     is memoized as None.
 
-    Images stay beta-normal: a node takes each image of its rho through
-    the hereditary pass with nothing substituted, which normalizes it
-    unless it is beta-normal already, and each step down substitutes rho's
-    images into the image by hereditary substitution, which contracts only
-    the redexes it creates.  Both measure what they build and run on a
-    fresh `Fuel` of the guard's units.  An image over the size or depth
-    cap, or one that needs more than that fuel, raises Overgrown.
+    Images stay beta-normal: a node keeps an image of its rho that passes
+    `check_image` as it is, and normalizes any other by the hereditary
+    pass; each step down substitutes rho's images into the image by
+    hereditary substitution, which contracts only the redexes it creates.
+    Each measures what it keeps, the passes on a fresh `Fuel` of the
+    guard's units.  An image over the size or depth cap, or one that
+    needs more than that fuel, raises Overgrown.
     """
 
     __slots__ = ("parent", "rho", "top", "guard", "_memo", "_images")
@@ -199,27 +200,31 @@ class TriangularSubst:
         images of their types.  Then each image's beta-normal form, kept
         by the node, must be closed and free of the variables bound here
         or by rho, which is looser than checking a non-normal image as
-        given.  Overgrown comes only after all these checks."""
+        given.  Overgrown comes only after all these checks.  One walk,
+        `check_image`, checks a beta-normal image; any other takes the
+        general path (`type_of`, `hereditary`, `free_vars`), which raises."""
         dom = rho._map
+        max_size, fuel, max_depth = self.guard
+        entries = []
         for var, image in rho.items():
             if self._lookup(var.id) is not None:
                 raise IdempotenceViolation(f"{var!r} is already bound")
-            it = type_of(image)
-            if it != var.ty:
+            entries.append((var, image, walk := check_image(image, var.ty, fuel)))
+            if walk is None and (it := type_of(image)) is not var.ty:
                 raise IllTyped(f"image of {var!r} has type {it!r}, expected {var.ty!r}")
         node = TriangularSubst(self, rho, max(self.top, max(dom, default=-1)), self.guard)
-        max_size, fuel, max_depth = self.guard
         overgrown = False
-        for var, image in rho.items():
-            try:
-                value, _ = hereditary(image, {}, Fuel(fuel))
-            except ReductionBudget:
-                overgrown = True
-                continue
-            image, size, height, loose = value
-            if loose:
-                raise IllTyped(f"image of {var!r} has loose bound variables")
-            fv = free_vars(image)
+        for var, image, walk in entries:
+            if walk is None:
+                try:
+                    (image, size, height, loose), _ = hereditary(image, {}, Fuel(fuel))
+                except ReductionBudget:
+                    overgrown = True
+                    continue
+                if loose:
+                    raise IllTyped(f"image of {var!r} has loose bound variables")
+                walk = size, height, free_vars(image)
+            size, height, fv = walk
             for i in fv:
                 if i in dom or self._lookup(i) is not None:
                     raise IdempotenceViolation(
@@ -227,7 +232,7 @@ class TriangularSubst:
                     )
             overgrown = overgrown or size > max_size or height > max_depth
             node._memo[var.id] = (var, image, frozenset(fv))
-            node._images[var.id] = value
+            node._images[var.id] = image, size, height, 0
         if overgrown:
             raise Overgrown
         return node

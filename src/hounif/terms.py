@@ -1,88 +1,71 @@
 """Simply typed lambda terms in de Bruijn representation.
 
-Terms are immutable and structurally shared: no node is mutated after
-construction, apart from the type and hash memos of App and Lam nodes,
-each written once.  Bound variables carry their type and a de Bruijn
-index (0 = innermost enclosing binder).  Free variables are identified by
-an interned integer id; display names live in a side table owned by
-whoever created the variable (see problem_io).
+Types are interned: equal types are one object.  Terms are immutable and
+structurally shared: no node is mutated after construction, apart from
+the type and hash memos of App and Lam nodes, each written once.  Bound
+variables carry their type and a de Bruijn index (0 = innermost binder).
+Free variables are identified by an integer id; display names live in a
+side table owned by whoever created the variable (see problem_io).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .errors import IllTyped
 
 # ---------------------------------------------------------------- types
 
 
-# Base, Arrow, App and Lam carry slots beyond their fields: `_hash`, the
-# structural hash, which Base's and Arrow's `__init__` set and App's and
-# Lam's `__hash__` memoizes, and on App and Lam `_ty`, where `type_of`
-# memoizes the node's type (reads go through `getattr(t, "_ty", None)`).
-# Neither is a field: equality ignores them, and pickling saves the fields
-# only, so a pickle is the same bytes whether typed or hashed or not, and
-# carries no string hash to another process.
-def _fields_state(self):
-    return [getattr(self, f) for f in self.__match_args__]
-
-
-def _set_fields_state(self, state):
-    self.__init__(*state)
+# Types are interned: `Base(name)` and `Arrow(dom, cod)` return the one
+# object with those contents from `_TYPES`, keyed by the name or the ids of
+# the children it keeps alive.  Equality is identity, the hash structural,
+# pickling by constructor; `bases` counts a type's base types.
+_TYPES: dict = {}
 
 
 def _stored_hash(self):
     return self._hash
 
 
-@dataclass(frozen=True)
 class Base:
-    __slots__ = ("name", "_hash")
-    name: str
+    __slots__ = ("name", "_hash", "bases")
+    __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((name,)))
+    def __new__(cls, name: str):
+        if (ty := _TYPES.get(name)) is None:
+            ty = object.__new__(cls)
+            ty.name, ty._hash, ty.bases = name, hash((name,)), 1
+            ty = _TYPES.setdefault(name, ty)  # the first of racing threads wins
+        return ty
 
-    __getstate__ = _fields_state
-    __setstate__ = _set_fields_state
+    def __reduce__(self):
+        return Base, (self.name,)
+
     __hash__ = _stored_hash
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Arrow:
-    """A function type; `==` and `repr` loop along `cod`, so neither
-    recurses on the arity of a type."""
+    """A function type; `repr` loops along `cod`, never recursing on arity."""
 
-    __slots__ = ("dom", "cod", "_hash")
-    dom: "Type"
-    cod: "Type"
+    __slots__ = ("dom", "cod", "_hash", "bases")
+    __match_args__ = ("dom", "cod")
 
-    def __init__(self, dom: "Type", cod: "Type"):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "_hash", hash((dom, cod)))
+    def __new__(cls, dom: "Type", cod: "Type"):
+        if (ty := _TYPES.get(key := (id(dom), id(cod)))) is None:
+            ty = object.__new__(cls)
+            ty.dom, ty.cod, ty._hash, ty.bases = dom, cod, hash((dom, cod)), dom.bases + cod.bases
+            ty = _TYPES.setdefault(key, ty)
+        return ty
 
-    __getstate__ = _fields_state
-    __setstate__ = _set_fields_state
+    def __reduce__(self):
+        return Arrow, (self.dom, self.cod)
+
     __hash__ = _stored_hash
-
-    def __eq__(self, other):
-        if other.__class__ is not Arrow:
-            return NotImplemented
-        s, t = self, other
-        while s is not t:
-            if s._hash != t._hash or s.dom is not t.dom and s.dom != t.dom:
-                return False
-            s, t = s.cod, t.cod
-            if type(s) is not Arrow or type(t) is not Arrow:
-                return s is t or s == t
-        return True
 
     def __repr__(self):
         out, t = [], self
@@ -256,6 +239,17 @@ def _term_repr(self):
         else:
             out.append(repr(t))
     return "".join(out)
+
+
+# App and Lam carry memo slots beyond their fields, `_hash` and `_ty` (see
+# `type_of`).  Equality ignores them, and pickling saves the fields only: a
+# pickle is the same bytes either way and carries no string hash.
+def _fields_state(self):
+    return [getattr(self, f) for f in self.__match_args__]
+
+
+def _set_fields_state(self, state):
+    self.__init__(*state)
 
 
 # App and Lam are plain slotted classes, like the engine's Constraint: a
@@ -523,7 +517,7 @@ def type_of(t: Term) -> Type:
             if ta is None:
                 todo.append(v)
                 continue
-            if tf.dom is not ta and tf.dom != ta:
+            if tf.dom is not ta:
                 raise IllTyped(f"argument type {ta!r} does not match expected {tf.dom!r}")
             ty = tf.cod
         u._ty = ty
@@ -539,6 +533,47 @@ def _leaf_type(t: Term) -> Type:
     if type(t) in (Free, Bound, Const):
         return t.ty
     raise IllTyped(f"not a term: {t!r}")
+
+
+def check_image(image: Term, ty: Type, fuel: int) -> Optional[tuple[int, int, dict[int, Free]]]:
+    """Check a closed beta-normal term against the type `ty` in one walk
+    building no type: an abstraction's type is the expected arrow, and a
+    spine's partial applications take the sub-arrows of its head's type.
+    If it passes with fewer App and Lam nodes than `fuel`, their types are
+    memoized and it returns its size and height, measured as `hereditary`
+    does, and its `free_vars`; otherwise None."""
+    typed, fv, height = [], {}, 0  # typed: (node, its type), memoized on a pass
+    todo = [(image, ty, 0, 0)]  # (subterm, expected type, binders above, depth)
+    while todo:
+        t, ty, k, d = todo.pop()
+        while type(t) is Lam:
+            if type(ty) is not Arrow or ty.dom is not t.binder:
+                return None
+            typed.append((t, ty))
+            t, ty, k, d = t.body, ty.cod, k + 1, d + 1
+        apps, top = [], len(todo)
+        while type(t) is App:
+            apps.append(t)
+            t = t.fn
+        if type(t) is Free:
+            fv.setdefault(t.id, t)
+        elif type(t) is not Const and (type(t) is not Bound or t.index >= k):
+            return None  # a loose index, a redex, or not a term
+        d += len(apps)  # the depth of the head and of the first argument
+        height, hty = max(height, d), t.ty
+        for app in reversed(apps):
+            if type(hty) is not Arrow:
+                return None
+            todo.insert(top, (app.arg, hty.dom, k, d))  # the first argument pops first
+            hty, d = hty.cod, d - 1
+            typed.append((app, hty))
+        if hty is not ty:
+            return None
+    if len(typed) >= fuel:  # hereditary charges a spine per App and one more
+        return None
+    for node, ty in typed:
+        node._ty = ty
+    return len(typed) + 1, height, fv  # a node per App and Lam, and a leaf more
 
 
 # ----------------------------------------------------------- determinism

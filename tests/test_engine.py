@@ -1,6 +1,7 @@
 """The transition engine: goldens, precedence, laziness, fairness, hygiene."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import pathlib
@@ -297,7 +298,7 @@ def _wide_signature_stream(n):
     return st, st.unifiers(max_pulls=2_000)
 
 
-@pytest.mark.parametrize("n", [500, 1_000])
+@pytest.mark.parametrize("n", [500, 1_000, 5_000])
 def test_signature_type_walks_do_not_recurse_on_arity(n):
     # at n = 1,000 `signature_types` raised RecursionError; the 500 record
     # is the one the recursive type walks gave
@@ -323,11 +324,13 @@ def test_flat_type_keys_order_as_nested_keys():
             other = rng.choice(types) if types and rng.random() < 0.5 else rng.choice(bases)
             ty = Arrow(ty, other) if rng.random() < 0.5 else Arrow(other, ty)
         types.append(ty)
+    # type_order orders by base-type count, then as the nested keys
     for s, t in zip(types, types[1:] + types[:1]):
-        want = (nested(s) > nested(t)) - (nested(s) < nested(t))
-        (size, ks), (_, kt) = engine._type_key(s), engine._type_key(t)
-        assert (ks > kt) - (ks < kt) == want
-        assert size == str(nested(s)).count("(0,")
+        ks, kt = (s.bases, nested(s)), (t.bases, nested(t))
+        assert engine.type_order(s, t) == (ks > kt) - (ks < kt)
+        assert s.bases == str(nested(s)).count("(0,")
+    want = sorted(types, key=lambda ty: (ty.bases, nested(ty)))
+    assert sorted(types, key=functools.cmp_to_key(engine.type_order)) == want
 
 
 def _stream_record(pairs, cfg, problem_vars, max_pulls=300):

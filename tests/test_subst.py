@@ -1,6 +1,7 @@
 """Substitutions: validation, application, composition algebra, the
 triangular state substitution, supply."""
 
+import pickle
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import termgen
 from termgen import I, II, III, gen_term, nbe, size
 from hounif import bindings, subst
 from hounif.errors import IdempotenceViolation, IllTyped
-from hounif.normalize import beta_normal, canonical
+from hounif.normalize import Fuel, beta_normal, canonical, hereditary
 from hounif.subst import (
     IDENTITY,
     FreshSupply,
@@ -29,6 +30,7 @@ from hounif.terms import (
     arrow,
     free_vars,
     mk_app,
+    rebuild,
     type_of,
 )
 
@@ -174,8 +176,9 @@ def test_triangular_extension_is_checked():
 
 def test_triangular_extension_checks_unvalidated_images(monkeypatch):
     # the engine's bindings and oracle unifiers are built unvalidated;
-    # extend raises what Substitution's validation would, and types and
-    # walks each image once
+    # extend raises what Substitution's validation would, and checks a
+    # beta-normal image by one walk, with no type_of, hereditary or
+    # free_vars pass
     F = Free(1, II)
     root = TriangularSubst.root(100, 10_000, 250)
     for image, message in ((a, "has type i, expected i>i"),
@@ -185,12 +188,17 @@ def test_triangular_extension_checks_unvalidated_images(monkeypatch):
         with pytest.raises(IllTyped, match=message):
             root.extend(Substitution(((F, image),), validate=False))
     calls = []
-    monkeypatch.setattr(subst, "type_of", lambda t: calls.append(t) or type_of(t))
-    monkeypatch.setattr(subst, "free_vars", lambda t: calls.append(t) or free_vars(t))
+
+    def counted(name, real):
+        return lambda t, *rest: calls.append((name, t)) or real(t, *rest)
+
+    for name in ("type_of", "free_vars", "hereditary", "check_image"):
+        monkeypatch.setattr(subst, name, counted(name, getattr(subst, name)))
     image = Lam(I, App(f, App(Free(2, II), Bound(0, I))))
     binding = bindings.Binding("imitation", ((F, image),))
     child = root.extend(binding.as_subst())
-    assert calls == [image, image] and child.image_of(1) is image
+    assert calls == [("check_image", image)] and child.image_of(1) is image
+    assert image._ty is II and image.body._ty is I
 
 
 def test_triangular_extension_reads_normal_images_and_overgrows_last():
@@ -216,6 +224,90 @@ def test_triangular_extension_reads_normal_images_and_overgrows_last():
             root.extend(Substitution(((Y, first), (V, a))))
         with pytest.raises(IdempotenceViolation, match="mentions the bound variable 1"):
             root.extend(Substitution(((Y, first), (Z, App(f, X)))))
+
+
+def _nodes(t):
+    """t's App and Lam nodes in pre-order."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is App:
+            out.append(u)
+            todo += (u.arg, u.fn)
+        elif type(u) is Lam:
+            out.append(u)
+            todo.append(u.body)
+    return out
+
+
+def _image(rng, ty, frees, bound_ids):
+    """A seeded termgen image of type ty, or a copy that is a redex, is of
+    another type, or has one constant replaced by a bound index (closed
+    or loose), a constant of another type or a bound variable."""
+    t = gen_term(rng, ty, rng.randrange(4), "any", frees)
+    kind = rng.choice(("good", "good", "redex", "type", "leaf"))
+    if kind == "redex":
+        return App(Lam(I, t), a)
+    if kind == "type":
+        return gen_term(rng, rng.choice([u for u in termgen.TYPES if u is not ty]), 2)
+    if kind == "good":
+        return t
+    pick, swap = [rng.randrange(3)], rng.choice(("index", "type", "var"))
+
+    def leaf(c, depth):
+        pick[0] -= 1
+        if pick[0] != -1:
+            return c
+        if swap == "index":
+            return Bound(rng.randrange(depth + 2), c.ty)
+        if swap == "type":
+            return Const("z", II if c.ty is I else I)
+        return Free(rng.choice(bound_ids), c.ty)
+
+    return rebuild(t, Const, leaf)
+
+
+def test_one_walk_agrees_with_the_general_path(monkeypatch):
+    # the walk that checks a binding image, and the general path it leaves
+    # an image to (type_of, hereditary, free_vars), give the same size,
+    # height and free-variable order, the same node or the same error, and
+    # the same type memos
+    rng = random.Random(17)
+    X, frees = Free(1, I), (Free(2, II), Free(3, I), Free(4, III))
+    guards = ((100, 10_000, 250), (6, 10_000, 250), (100, 4, 250), (100, 10_000, 3))
+    passed = failed = 0
+    checked = subst.check_image
+    for _ in range(400):
+        guard = rng.choice(guards)
+        parent = TriangularSubst.root(*guard).extend(Substitution(((X, a),)))
+        tys = rng.sample(termgen.TYPES, rng.choice((1, 2, 3)))
+        rho = [(Free(10 + k, ty), _image(rng, ty, frees, (1, 10, 11))) for k, ty in enumerate(tys)]
+        data = pickle.dumps(rho)  # a copy with no memos for each side
+        for var, image in pickle.loads(data):
+            walk = checked(image, var.ty, guard[1])
+            if walk is None:
+                failed += 1
+                continue
+            passed += 1
+            other = pickle.loads(pickle.dumps(image))
+            (_, size, height, loose), _ = hereditary(other, {}, Fuel(guard[1]))
+            assert (walk[0], walk[1], loose) == (size, height, 0)
+            assert list(walk[2].items()) == list(free_vars(other).items())
+            assert type_of(other) is var.ty
+            assert [u._ty for u in _nodes(image)] == [u._ty for u in _nodes(other)]
+        outcomes = []
+        for walk in (checked, lambda *args: None):
+            monkeypatch.setattr(subst, "check_image", walk)
+            entries = pickle.loads(data)
+            try:
+                node = parent.extend(Substitution(entries, validate=False))
+                got = node._memo, node._images
+            except (IllTyped, IdempotenceViolation, Overgrown) as e:
+                got = type(e), str(e)
+            memos = [getattr(u, "_ty", None) for _, t in entries for u in _nodes(t)]
+            outcomes.append((got, memos))
+        assert outcomes[0] == outcomes[1]
+    assert passed > 100 and failed > 100
 
 
 def test_triangular_resolution_is_guarded():

@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -427,8 +428,67 @@ def test_app_and_lam_are_plain_slotted_nodes():
 
 def test_base_type_keeps_its_hash_and_pickles_its_name():
     j = Base("j")
-    assert hash(j) == hash(("j",)) and j == Base("j") and j != I
-    assert pickle.loads(pickle.dumps(j)) == j and hash(pickle.loads(pickle.dumps(j))) == hash(j)
+    assert hash(j) == hash(("j",)) and j is Base("j") and j == Base("j") and j != I
+    assert pickle.loads(pickle.dumps(j)) is j and hash(pickle.loads(pickle.dumps(j))) == hash(j)
     match j:
         case Base(name):
             assert name == "j"
+
+
+def test_types_are_interned():
+    # one object per type: equality is identity, the hash is structural,
+    # and pickling (here and from a process with another string-hash
+    # seed) gives back the interned object
+    d, c = arrow([I, II], I), Arrow(I, I)
+    assert Arrow(d, c) is Arrow(d, c) and Arrow(d, c) is arrow([d, I], I)
+    assert arrow([II, I], III) is Arrow(Arrow(I, I), Arrow(I, Arrow(I, Arrow(I, I))))
+    ty = Arrow(d, c)
+    assert hash(ty) == hash((ty.dom, ty.cod)) and hash(I) == hash(("i",))
+    assert ty.bases == 6 and I.bases == 1 and Arrow(ty, ty).bases == 12
+    assert pickle.loads(pickle.dumps(ty)) is ty and pickle.loads(pickle.dumps([ty, I]))[0] is ty
+    script = ("import pickle, sys; from hounif.terms import Arrow, Base; i = Base('i'); "
+              "sys.stdout.buffer.write(pickle.dumps(Arrow(Arrow(i, i), Arrow(i, i))))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    data = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    assert pickle.loads(data) is Arrow(II, II)
+    match ty:
+        case Arrow(Arrow(Base(x), _), Arrow(Base(y), Base(z))):
+            assert x == y == z == "i"
+        case _:
+            raise AssertionError("class patterns do not match")
+    # threads racing to intern the same new types all get one object each
+    built, start = [], threading.Barrier(4)
+
+    def build():
+        start.wait()
+        built.append([arrow([Base(f"race{k}")] * 3, Base(f"race{k + 1}")) for k in range(2_000)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(built) == 4
+    assert all(a is b for other in built[1:] for a, b in zip(built[0], other))
+
+
+def test_a_repeated_solve_adds_no_type():
+    # criterion 10 (F G G =?= f G) solved twice: the second solve builds
+    # only types the first one interned
+    from hounif import terms
+    from hounif.engine import EngineConfig, solve
+
+    F, G = Free(0, III), Free(1, I)
+    pairs = [(mk_app(F, [G, G]), App(f, G))]
+    streams, sizes = [], []
+    for _ in range(2):
+        streams.append(solve(pairs, EngineConfig(oracles=())).unifiers(max_pulls=300))
+        sizes.append(len(terms._TYPES))
+    assert sizes[0] == sizes[1] and repr(streams[0]) == repr(streams[1])
