@@ -307,23 +307,22 @@ def select(constraints: tuple[Constraint, ...], subst: TriangularSubst) -> Const
 # ------------------------------------------------------- binding families
 
 
-def type_order(s: Type, t: Type) -> int:
-    """-1, 0 or 1 as s sorts below, equal to or above t: by number of base
-    types, then by the nested key (1, dom, cod) or (0, name), walking both
-    types with an explicit stack to the first pair that are not one type."""
-    if s.bases != t.bases:
-        return -1 if s.bases < t.bases else 1
-    pending = [(s, t)]
-    while pending:
-        s, t = pending.pop()
-        if s is t:
-            continue
+def nested_order(s: Type, t: Type) -> int:
+    """-1, 0 or 1 as s sorts below, equal to or above t by the nested key
+    (1, dom, cod) or (0, name).  Types are interned, so a loop follows the
+    domains if they are not one type, else the codomains, to the difference."""
+    while s is not t:
         if type(s) is not type(t):
             return 1 if type(s) is Arrow else -1
         if type(s) is Base:  # distinct base types have distinct names
             return -1 if s.name < t.name else 1
-        pending += ((s.cod, t.cod), (s.dom, t.dom))
+        s, t = (s.dom, t.dom) if s.dom is not t.dom else (s.cod, t.cod)
     return 0
+
+
+def type_order(s: Type, t: Type) -> int:
+    """Like `nested_order`, but by number of base types first."""
+    return (s.bases > t.bases) - (s.bases < t.bases) or nested_order(s, t)
 
 
 def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
@@ -349,18 +348,17 @@ def signature_types(terms: Iterable[Term]) -> tuple[Type, ...]:
 
 
 def _y_tuples(sig_types: tuple[Type, ...]) -> Iterator[tuple[Type, ...]]:
-    """All tuples over the signature's types, by length, number of base
-    types, then the types' ranks in `sig_types` from the left."""
+    """All tuples over the signature's types, by length, total number of
+    base types, then nested keys from the left.  The singletons take
+    `sig_types`' order, so a wide signature sorts no nested keys for them."""
     yield ()
-    for length in itertools.count(1):
-        if not sig_types:
-            return
-        ranks = sorted(
-            itertools.product(range(len(sig_types)), repeat=length),
-            key=lambda tp: (sum(sig_types[r].bases for r in tp), tp),
+    yield from ((ty,) for ty in sig_types)
+    rank = {ty: r for r, ty in enumerate(sorted(sig_types, key=cmp_to_key(nested_order)))}
+    for length in itertools.count(2) if sig_types else ():
+        yield from sorted(
+            itertools.product(sig_types, repeat=length),
+            key=lambda tp: (sum(ty.bases for ty in tp), tuple(rank[ty] for ty in tp)),
         )
-        for tp in ranks:
-            yield tuple(sig_types[r] for r in tp)
 
 
 def _iterations_for(F: Free, positions: list[int], search: Search) -> Iterator[Binding]:

@@ -309,6 +309,21 @@ def test_signature_type_walks_do_not_recurse_on_arity(n):
         assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "e879da132b75f34e"
 
 
+def _flat_key(ty):
+    """A type's nodes in pre-order, 1 for an arrow and 0, name for a base
+    type: the sort key the signature's types and tuples had before types
+    were interned, kept here as the reference for the orders that replace it."""
+    key, todo = [], [ty]
+    while todo:
+        ty = todo.pop()
+        while isinstance(ty, Arrow):
+            key.append(1)
+            todo.append(ty.cod)
+            ty = ty.dom
+        key += (0, ty.name)
+    return tuple(key)
+
+
 def test_flat_type_keys_order_as_nested_keys():
     def nested(ty):
         if isinstance(ty, Arrow):
@@ -324,13 +339,57 @@ def test_flat_type_keys_order_as_nested_keys():
             other = rng.choice(types) if types and rng.random() < 0.5 else rng.choice(bases)
             ty = Arrow(ty, other) if rng.random() < 0.5 else Arrow(other, ty)
         types.append(ty)
-    # type_order orders by base-type count, then as the nested keys
     for s, t in zip(types, types[1:] + types[:1]):
-        ks, kt = (s.bases, nested(s)), (t.bases, nested(t))
+        want = (nested(s) > nested(t)) - (nested(s) < nested(t))
+        ks, kt = _flat_key(s), _flat_key(t)
+        assert (ks > kt) - (ks < kt) == want == engine.nested_order(s, t)
+        ks, kt = (s.bases, ks), (t.bases, kt)
         assert engine.type_order(s, t) == (ks > kt) - (ks < kt)
         assert s.bases == str(nested(s)).count("(0,")
-    want = sorted(types, key=lambda ty: (ty.bases, nested(ty)))
-    assert sorted(types, key=functools.cmp_to_key(engine.type_order)) == want
+
+
+def test_y_tuples_order_as_flat_keys():
+    # (i>i)>i has fewer base types than i>i>i>i but the larger nested key:
+    # tuples of one total are ordered by their types' flat keys from the
+    # left, not by the types' places in `sig_types`
+    def arrow_of(*tys):
+        return arrow(list(tys[:-1]), tys[-1])
+
+    j = Base("j")
+    rng = random.Random(11)
+    signatures = [
+        [Const("f", arrow_of(II, I)), Const("g", arrow_of(I, I, I, I))],
+        [Const("k", arrow_of(I, arrow_of(II, I), I))],
+    ]
+    for _ in range(40):
+        consts = []
+        for n in range(rng.randrange(1, 4)):
+            ty = rng.choice([I, j])
+            for _ in range(rng.randrange(4)):
+                ty = Arrow(rng.choice([I, j, II, Arrow(j, I), arrow_of(II, j, I)]), ty)
+            consts.append(Const(f"c{n}", ty))
+        signatures.append(consts)
+    for consts in signatures:
+        sig = engine.signature_types(consts)
+        want = [()] + sorted(
+            itertools.chain(itertools.product(sig), itertools.product(sig, repeat=2)),
+            key=lambda tp: (len(tp), sum(ty.bases for ty in tp), tuple(map(_flat_key, tp))),
+        )
+        assert list(itertools.islice(engine._y_tuples(sig), len(want))) == want
+    assert list(engine._y_tuples(())) == [()]
+
+
+def test_flex_flex_iteration_order_pinned():
+    # the first 40 bindings of a complete-variant flex-flex branch point
+    # over a signature holding (i>i)>i and i>(i>i)>i; the digest was computed
+    # before types were interned
+    A = arrow([II], I)
+    k = Const("k", arrow([I, II], I))
+    G1, G2 = Free(0, II), Free(1, II)
+    search = engine.Search(EngineConfig(), [App(G1, a), App(G2, a), k, k])
+    assert search.sig_types == (I, II, A, Arrow(I, A))
+    got = list(itertools.islice(engine._candidates(G1, G2, search), 40))
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "7792a68751e4c6d2"
 
 
 def _stream_record(pairs, cfg, problem_vars, max_pulls=300):

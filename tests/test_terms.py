@@ -387,8 +387,10 @@ def test_arrow_hash_equality_and_repr_along_5000_arguments():
 
 
 def test_arrow_pickles_its_fields_only():
-    # a process with another string-hash seed pickles a type; the copy
-    # read back here hashes as one built here, and the bytes match
+    # types pickle through their constructor with their fields only, no
+    # stored hash: a process with another string-hash seed pickles a type
+    # to the bytes a pickle made here gives, and reading them back gives
+    # the interned object
     script = ("import pickle, sys; from hounif.terms import Arrow, Base; i = Base('i'); "
               "sys.stdout.buffer.write(pickle.dumps("
               "Arrow(Arrow(i, i), Arrow(i, Arrow(i, Arrow(i, i))))))")
@@ -399,7 +401,7 @@ def test_arrow_pickles_its_fields_only():
     ty = Arrow(Arrow(I, I), Arrow(I, Arrow(I, Arrow(I, I))))
     assert data == pickle.dumps(ty)
     back = pickle.loads(data)
-    assert back == ty == arrow([II, I], III)
+    assert back is ty is arrow([II, I], III)
     assert hash(back) == hash(ty) == hash(arrow([II, I], III))
 
 
