@@ -78,6 +78,16 @@ def test_huet_projection_golden():
     assert b2.entries == ((F, mk_lams([II, I], Bound(0, I))),)
 
 
+def test_huet_projection_needs_an_argument_of_the_result_type():
+    # F : (i>o) > o > i: no argument returns F's result type i
+    F = Free(1, arrow([arrow([I], O), O], I))
+    s = FreshSupply(10)
+    assert huet_projection(F, 1, s) is None and huet_projection(F, 2, s) is None
+    # indices out of range
+    assert huet_projection(F, 0, s) is None and huet_projection(F, 3, s) is None
+    assert s.next_id == 10  # no fresh variable drawn
+
+
 def test_imitation_golden():
     F = Free(1, arrow([I], I))
     s = FreshSupply(7)

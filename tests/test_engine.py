@@ -1044,6 +1044,53 @@ def test_occurs_ladder_without_oracles_ends_in_budget_stop():
     assert st.status == "budget"
 
 
+def test_live_state_goes_back_on_the_agenda_after_pacing_steps():
+    # one delete per pair: after _PACING of them the state is queued again
+    # behind a pacing marker, and solved on its next visit
+    st = solve([(a, a)] * (engine._PACING + 1), NO_ORACLES)
+    assert list(st) == [None, Substitution()]
+    assert st.status == "exhausted"
+    assert st.stats == {"delete": engine._PACING + 1, "succeed": 1}
+
+
+def test_image_overgrown_while_stepping_is_a_budget_stop():
+    # G's image is resolved only when dereference reads it; each image is
+    # within the depth cap of 250, together they go past it
+    G, H = Free(0, I), Free(1, I)
+    state, search = prepare([(G, a)], NO_ORACLES)
+    subst = state.subst.extend(Substitution(((G, hpow(200, H)),)))
+    subst = subst.extend(Substitution(((H, hpow(200, a)),)))
+    root = engine.UnifState(state.constraints, subst, state.next_seq)
+    st = engine.UnifierStream(engine._explore(root, search), search)
+    assert list(st) == [] and st.status == "budget" and st.stats == {}
+
+
+def test_step_budget_ends_a_branch_after_an_overgrown_child(monkeypatch):
+    # F a =?= f a: the imitation's image is too deep for a cap of one
+    # level; it is charged and skipped, and no step is left for the
+    # projection
+    monkeypatch.setattr(engine, "_MAX_IMAGE_DEPTH", 1)
+    F = Free(0, II)
+    pairs = [(App(F, a), App(f, a))]
+    st = solve(pairs, EngineConfig(oracles=(), max_steps=1))
+    assert list(st) == [] and st.status == "budget"
+    assert st.stats == {"bind_imitation": 1}
+    st = solve(pairs, EngineConfig(oracles=(), max_steps=2))
+    assert list(st) == [] and st.status == "budget"
+    assert st.stats == {"bind_imitation": 1, "bind_huet_projection": 1}
+
+
+def test_ill_sorted_projection_yields_no_child():
+    # F : o -> i has no argument of its result type, so only the
+    # imitation of a is tried
+    O = Base("o")
+    F = Free(0, arrow([O], I))
+    st = solve([(App(F, Const("c", O)), a)], NO_ORACLES)
+    got = st.unifiers()
+    assert st.status == "exhausted" and "bind_huet_projection" not in st.stats
+    assert [sigma.image_of(0) for sigma in got] == [Lam(O, a)]
+
+
 # ------------------------------------------------------------- pragmatic
 
 

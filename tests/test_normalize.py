@@ -299,6 +299,15 @@ def test_church_blow_up_runs_out_of_small_fuel():
     assert beta_normal(t) == beta_normal(t, normalize.Fuel()) == nbe(t, I)
 
 
+def test_canonical_out_of_fuel_raises():
+    # g : i -> i -> i becomes \x y. g x y: three visits of eta_long
+    with pytest.raises(ReductionBudget):
+        canonical(g, Fuel(2))
+    meter = Fuel(10)
+    assert canonical(g, meter) == Lam(I, Lam(I, mk_app(g, [Bound(1, I), Bound(0, I)])))
+    assert meter.left < 10
+
+
 def test_beta_normal_of_deep_term_at_default_recursion_limit():
     # (\y. f^5000 ((\x. g x y) a)) b: a redex at the head and one at the bottom
     depth = 5000

@@ -322,6 +322,18 @@ def test_triangular_resolution_is_guarded():
         TriangularSubst.root(6, 2, 250).extend(twice_g).extend(g_to_ff).image_of(1)
 
 
+def test_resolution_out_of_fuel_is_overgrown():
+    # each image passes `extend` on 10 units, but F's resolution through
+    # G's node needs more, though its image is small and shallow
+    F, G = Free(1, II), Free(2, II)
+    twice_g = Substitution(((F, Lam(I, App(G, App(G, Bound(0, I))))),))
+    g_to_ff = Substitution(((G, Lam(I, App(f, App(f, Bound(0, I))))),))
+    tri = TriangularSubst.root(100, 10, 250).extend(twice_g).extend(g_to_ff)
+    with pytest.raises(Overgrown):
+        tri.image_of(1)
+    assert TriangularSubst.root(100, 20, 250).extend(twice_g).extend(g_to_ff).image_of(1)
+
+
 def _binding_rho(rng, domain, supply):
     """One engine-style binding (imitation, projection, elimination,
     iteration, identification, or an eta-short renaming) per chosen
@@ -453,6 +465,17 @@ def test_restrict_and_items_are_deterministic():
     r = sigma.restrict({5})
     assert len(r) == 1 and r.image_of(5) == a and r.image_of(3) is None
     assert sigma.domain()[0].id == 3
+
+
+def test_substitutions_are_values():
+    F, G = Free(1, I), Free(2, II)
+    one = Substitution(((F, a), (G, f)))
+    other_order = Substitution(((G, f), (F, a)))
+    assert one == other_order and hash(one) == hash(other_order)
+    assert one != Substitution(((F, a),))
+    assert one != Substitution(((F, Const("b", I)), (G, f)))
+    assert one != {1: a, 2: f}
+    assert one and not IDENTITY and not Substitution()
 
 
 def test_fresh_supply_monotone_and_reserving():
