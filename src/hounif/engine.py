@@ -148,14 +148,13 @@ class Constraint:
     sequence number used to break selection ties.
 
     Constraints, states and step results are `__slots__` records filled
-    by plain assignment; nothing changes them after construction.  A
-    constraint also holds its sides' views (see `_view`) in `lview` and
-    `rview`.  The views are not among its values: equality, hashing and
-    the repr see only `lhs`, `rhs`, `seq` and `counters`.  A side's view
-    is taken once, where the side first enters a constraint, and every
-    copy that keeps the side shares it: `make`'s reoriented pair swaps
-    the views, `with_sides` keeps the view of a side passed back
-    unchanged, and a counter bump (`with_counters`) keeps both.
+    by plain assignment; nothing changes them after construction.  The
+    engine tells constraints apart by identity only.  A constraint also
+    holds its sides' views (see `_view`) in `lview` and `rview`.  A
+    side's view is taken once, where the side first enters a constraint,
+    and every copy that keeps the side shares it: `make`'s reoriented
+    pair swaps the views, `with_sides` keeps the view of a side passed
+    back unchanged, and a counter bump (`with_counters`) keeps both.
 
     `make` puts a pair in the canonical orientation (`term_order`), except
     a rigid pair: one whose sides have equally long binder prefixes and
@@ -198,15 +197,6 @@ class Constraint:
     def with_counters(self, counters: Limits) -> "Constraint":
         return Constraint(self.lhs, self.rhs, self.seq, counters, self.lview, self.rview)
 
-    def _key(self) -> tuple:
-        return self.lhs, self.rhs, self.seq, self.counters
-
-    def __eq__(self, other):
-        return type(other) is Constraint and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return f"{self.lhs!r} =?= {self.rhs!r}"
 
@@ -241,11 +231,16 @@ class EngineConfig:
 
 
 class StepResult:
-    __slots__ = ("kind", "rule", "solution", "states")
+    """What one step did: the `rule` it applied, and either the `solution`
+    (a solved state's substitution) or the `states` it leads to.  Those
+    are a tuple of the one next state of a deterministic transition, a
+    lazy iterator of a branch point's children, or empty when the step
+    failed."""
 
-    def __init__(self, kind: str, rule: str, solution: Optional[TriangularSubst] = None,
+    __slots__ = ("rule", "solution", "states")
+
+    def __init__(self, rule: str, solution: Optional[TriangularSubst] = None,
                  states: Iterable[UnifState] = ()):
-        self.kind = kind  # "solved" | "failed" | "children"
         self.rule = rule
         self.solution = solution
         self.states = states
@@ -268,9 +263,15 @@ class Search:
             (name, _oracles.resolve(name)) for name in cfg.oracles
         ]
 
-    def charge(self, rule: str) -> None:
+    def charge(self, rule: str) -> bool:
+        """Spend a step on `rule`; with no step left, record the budget
+        stop instead and return False."""
+        if self.steps_left <= 0:
+            self.budget_hit = True
+            return False
         self.steps_left -= 1
         self.stats[rule] = self.stats.get(rule, 0) + 1
+        return True
 
     @cached_property
     def sig_types(self) -> tuple[Type, ...]:
@@ -619,22 +620,22 @@ def step(state: UnifState, search: Search) -> StepResult:
     branch point, return lazily materialized children."""
     rule, c, payload = _transition(state, search)
     if rule == "branch":
-        return StepResult("children", rule, None, _children(c, state, search, *payload))
+        return StepResult(rule, None, _children(c, state, search, *payload))
     if rule == "oracle_succ":
         edges = [(rho, None) for rho in payload]
-        return StepResult("children", rule, None, _children(c, state, search, False, edges))
+        return StepResult(rule, None, _children(c, state, search, False, edges))
 
-    search.charge(rule)
+    search.charge(rule)  # `_explore` steps a state only with a step left
     if rule == "succeed":
-        return StepResult("solved", rule, state.subst)
+        return StepResult(rule, state.subst)
     if rule in ("fail", "oracle_fail"):
-        return StepResult("failed", rule)
+        return StepResult(rule)
     if rule == "delete":
         constraints = state.without(c)
     else:  # a rewritten constraint replaces the selected one
         constraints = tuple([payload if x is c else x for x in state.constraints])
     child = UnifState(constraints, state.subst, state.next_seq)
-    return StepResult("children", rule, None, (child,))
+    return StepResult(rule, None, (child,))
 
 
 def _children(
@@ -648,20 +649,15 @@ def _children(
     the step budget is spent the branch ends, and a child whose
     substitution overgrows is abandoned; both are budget stops."""
     if heads_equal:
-        if search.steps_left <= 0:
-            search.budget_hit = True
+        if not search.charge("decompose"):
             return
-        search.charge("decompose")
         yield _decomposed(c, state)
     for edge, delta in edges:
-        if search.steps_left <= 0:
-            search.budget_hit = True
+        if not search.charge("oracle_succ" if delta is None else f"bind_{edge.kind}"):
             return
         if delta is None:  # an oracle's unifier solves c
-            search.charge("oracle_succ")
             rho, constraints = edge, state.without(c)
         else:
-            search.charge(f"bind_{edge.kind}")
             bumped = c.with_counters(c.counters.add(delta))
             rho = edge.as_subst()
             constraints = tuple([bumped if x is c else x for x in state.constraints])
@@ -768,12 +764,12 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
                     search.budget_hit = True
                     break
                 spent += 1
-                if res.kind == "solved":
+                if res.solution is not None:
                     yield res.solution.restrict(search.problem_ids)
                     break
-                if res.kind == "failed":
-                    break
                 states = res.states
+                if not states:  # the step failed
+                    break
                 if isinstance(states, tuple):
                     task = states[0]
                     if spent >= _PACING:

@@ -7,6 +7,8 @@ the eta-long beta-normal canonical representative.
 Full beta normalization and the resolution of substitution images are
 one iterative pass, `hereditary`, metered (as `eta_long` is) by an
 explicit `Fuel`; `hnf` is unmetered, since it only exposes one head.
+The canonical form is `eta_long`'s, which beta-normalizes each spine
+headed by a redex as it visits it, so no beta pass runs before it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .terms import (
     App,
     Arrow,
     Bound,
-    Const,
     Free,
     Lam,
     Term,
@@ -86,10 +87,10 @@ _EVAL, _SPINE, _WRAP, _REST = range(4)
 
 #: the environment of a plain traversal: no bound variable instantiated,
 #: none shifted
-_PLAIN = ((), 0, None)
+_PLAIN = ((), 0)
 
 
-def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, bool]:
+def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> _Value:
     """Hereditary substitution (Watkins, Cervesato, Pfenning & Walker, *A
     Concurrent Logical Framework I*, CMU-CS-02-101): the beta-normal form
     of t with every variable in `images` replaced by its image, for closed
@@ -105,18 +106,14 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
     measures it.
 
     One fuel unit goes to each spine visited and each contraction; running
-    out raises ReductionBudget.  Returns t's value and whether every
-    argument a contraction dropped was a bound variable or a constant (if
-    so, no free variable was lost).  Iterative: `todo` holds frames, `out`
-    values.
+    out raises ReductionBudget.  Returns t's value.  Iterative: `todo`
+    holds frames, `out` values.
 
-    A traversal's environment is (vals, k, used): at depth d below its
-    root, a loose index d + j becomes vals[j] shifted by d for j < len(vals),
-    and the index d + j - len(vals) + k otherwise; `used` marks the vals
-    that occurred."""
+    A traversal's environment is (vals, k): at depth d below its root, a
+    loose index d + j becomes vals[j] shifted by d for j < len(vals), and
+    the index d + j - len(vals) + k otherwise."""
     out: list[_Value] = []
     todo: list = [(_EVAL, t, 0, _PLAIN)]
-    kept = True
     left = fuel.left
     while todo:
         frame = todo.pop()
@@ -147,13 +144,12 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
             if cls is Free:
                 value = images.get(head.id)
             elif cls is Bound and head.index >= d:
-                vals, k, used = env
+                vals, k = env
                 j = head.index - d
                 if j < len(vals):
-                    used[j] = True
                     value = vals[j]
                     if d > 0 and value[3] > 0:  # the argument, moved under d binders
-                        head_eval = (_EVAL, value[0], 0, ((), d, None))
+                        head_eval = (_EVAL, value[0], 0, ((), d))
                 elif k != len(vals):
                     new_head = Bound(head.index - len(vals) + k, head.ty)
             elif cls is Lam:  # a redex of t: contract the abstraction's value
@@ -208,11 +204,7 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
             out.append((term, size + nl, height + nl, loose - nl if loose > nl else 0))
             continue
         else:  # _REST: a contraction's body is done; apply it to the rest
-            _, argv, vals, used = frame
-            if kept and not all(used):
-                kept = all(
-                    hit or type(v[0]) in (Bound, Const) for v, hit in zip(vals, used)
-                )
+            _, argv = frame
             if not argv:  # the body's value is the result
                 continue
             value = out.pop()
@@ -231,9 +223,8 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
                 term = term.body
                 m += 1
             vals, argv = tuple(argv[m - 1::-1]), argv[m:]
-            used = [False] * m
-            todo.append((_REST, argv, vals, used))
-            todo.append((_EVAL, term, 0, (vals, 0, used)))
+            todo.append((_REST, argv))
+            todo.append((_EVAL, term, 0, (vals, 0)))
             continue
         i = len(argv)
         height += i
@@ -249,13 +240,13 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> tuple[_Value, 
             i -= 1
         out.append((term if same is None else same, size, height, loose))
     fuel.left = left
-    return out[0], kept
+    return out[0]
 
 
 def beta_normal(t: Term, fuel: Optional[Fuel] = None) -> Term:
     """Full beta normal form (unique, since the calculus is simply typed),
     by the hereditary pass with nothing substituted."""
-    return hereditary(t, {}, Fuel() if fuel is None else fuel)[0][0]
+    return hereditary(t, {}, Fuel() if fuel is None else fuel)[0]
 
 
 def eta_index(j: int, env) -> int:
@@ -278,12 +269,13 @@ def eta_index(j: int, env) -> int:
 
 
 def eta_long(t: Term, fuel: Optional[Fuel] = None) -> Term:
-    """Fully eta-expand a beta-normal term.
+    """The eta-long beta-normal form of t.
 
     Every subterm of functional type becomes an explicit abstraction and
     every head is applied to as many arguments as its type allows.  A
     subterm already in that form comes back as the same object; one
-    headed by a redex is beta-normalized first.
+    headed by a redex is beta-normalized (on `fuel`) and visited again,
+    so t need not be beta-normal.
 
     Iterative: `todo` holds (subterm, env) visits and the build of each
     visited spine, `out` the finished subterms.  A spine's bound
@@ -351,9 +343,9 @@ def eta_long(t: Term, fuel: Optional[Fuel] = None) -> Term:
 
 
 def canonical(t: Term, fuel: Optional[Fuel] = None) -> Term:
-    """The eta-long beta-normal representative of t's equivalence class;
-    both passes draw on `fuel` when it is given."""
-    return eta_long(beta_normal(t, fuel), fuel)
+    """The eta-long beta-normal representative of t's equivalence class,
+    by `eta_long`, drawing on `fuel` when it is given."""
+    return eta_long(t, fuel)
 
 
 def eta_expand_prefix(t: Term, target: int) -> Term:

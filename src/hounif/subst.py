@@ -60,9 +60,6 @@ class Substitution:
     def __len__(self) -> int:
         return len(self._map)
 
-    def __bool__(self) -> bool:
-        return bool(self._map)
-
     def __contains__(self, var_id: int) -> bool:
         return var_id in self._map
 
@@ -217,7 +214,7 @@ class TriangularSubst:
         for var, image, walk in entries:
             if walk is None:
                 try:
-                    (image, size, height, loose), _ = hereditary(image, {}, Fuel(fuel))
+                    image, size, height, loose = hereditary(image, {}, Fuel(fuel))
                 except ReductionBudget:
                     overgrown = True
                     continue
@@ -255,24 +252,23 @@ class TriangularSubst:
         return entry
 
     def _through(self, entry: _Entry) -> _Entry:
-        """A resolved entry of the parent, resolved at this node."""
+        """A resolved entry of the parent, resolved at this node: an entry
+        with none of rho's variables comes back as it is; otherwise rho's
+        images are substituted by the hereditary pass, and the result's
+        free variables are collected by one `free_vars` walk.  Running out
+        of fuel, or breaching the size or depth cap, raises Overgrown."""
         var, image, fv = entry
         images = self._images
         if fv.isdisjoint(images):
             return entry
         max_size, fuel, max_depth = self.guard
         try:
-            (image, size, height, _), kept = hereditary(image, images, Fuel(fuel))
+            image, size, height, _ = hereditary(image, images, Fuel(fuel))
         except ReductionBudget:
             raise Overgrown from None
         if size > max_size or height > max_depth:
             raise Overgrown
-        if kept:  # then the new free variables are exactly these
-            memo = self._memo
-            fv = fv.difference(images).union(*(memo[i][2] for i in fv.intersection(images)))
-        else:
-            fv = frozenset(free_vars(image))
-        return var, image, fv
+        return var, image, frozenset(free_vars(image))
 
     def image_of(self, var_id: int) -> Optional[Term]:
         """The resolved image of a variable, or None if it is unbound."""

@@ -76,15 +76,12 @@ def test_huet_projection_golden():
     # base-type argument: collapses to the jp form
     b2 = huet_projection(F, 2, FreshSupply(10))
     assert b2.entries == ((F, mk_lams([II, I], Bound(0, I))),)
-
-
-def test_huet_projection_needs_an_argument_of_the_result_type():
-    # F : (i>o) > o > i: no argument returns F's result type i
-    F = Free(1, arrow([arrow([I], O), O], I))
+    # G : (i>o) > o > i: no argument returns G's result type i, and the
+    # indices out of range project nothing
+    G = Free(2, arrow([arrow([I], O), O], I))
     s = FreshSupply(10)
-    assert huet_projection(F, 1, s) is None and huet_projection(F, 2, s) is None
-    # indices out of range
-    assert huet_projection(F, 0, s) is None and huet_projection(F, 3, s) is None
+    assert huet_projection(G, 1, s) is None and huet_projection(G, 2, s) is None
+    assert huet_projection(G, 0, s) is None and huet_projection(G, 3, s) is None
     assert s.next_id == 10  # no fresh variable drawn
 
 

@@ -451,8 +451,6 @@ def _reachable_steps(state, search, max_visits):
         names = applicable_rules(st, search)
         res = step(st, search)
         yield st, names, res
-        if res.kind != "children":
-            continue
         if isinstance(res.states, tuple):
             todo.extend(res.states)
         else:
@@ -510,18 +508,6 @@ def test_constraint_views_match_their_sides():
     assert checked > 500
 
 
-def test_constraint_values_are_the_four_fields():
-    F = Free(0, II)
-    s, t = App(F, a), App(f, a)
-    c = engine.Constraint(s, t, 3)
-    other_views = engine.Constraint(s, t, 3, engine.NO_BINDINGS, ([], a, []), ([], b, []))
-    assert c == other_views and hash(c) == hash(other_views)
-    assert repr(c) == repr(other_views) == f"{s!r} =?= {t!r}"
-    bumped = c.with_counters(Limits(1, 0, 0, 0, 0))
-    assert c != bumped and c != engine.Constraint(s, t, 4) and c != engine.Constraint(t, s, 3)
-    assert c == engine.Constraint(s, t, 3, Limits(0, 0, 0, 0, 0))
-
-
 def test_constraint_copies_share_the_views_of_kept_sides():
     F = Free(0, II)
     c = engine.Constraint.make(App(F, a), App(f, a), 0)
@@ -545,7 +531,8 @@ def test_bound_child_shares_the_views_of_its_constraint():
     assert res.rule == "branch"
     child = next(res.states)
     (bumped,) = child.constraints
-    assert bumped.counters.total == 1 and bumped == c.with_counters(bumped.counters)
+    assert bumped.counters.total == 1
+    assert (bumped.lhs, bumped.rhs, bumped.seq) == (c.lhs, c.rhs, c.seq)
     assert bumped.lview is c.lview and bumped.rview is c.rview
 
 
@@ -1256,11 +1243,10 @@ def test_intermediate_substitutions_idempotent():
             visited += 1
             _assert_triangular_well_formed(st.subst)
             res = step(st, search)
-            if res.kind == "children":
-                if isinstance(res.states, tuple):
-                    todo.extend(res.states)
-                else:
-                    todo.extend(itertools.islice(res.states, 3))
+            if isinstance(res.states, tuple):
+                todo.extend(res.states)
+            else:
+                todo.extend(itertools.islice(res.states, 3))
 
 
 def test_fresh_hygiene():
