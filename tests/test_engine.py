@@ -534,6 +534,7 @@ def test_bound_child_shares_the_views_of_its_constraint():
     assert bumped.counters.total == 1
     assert (bumped.lhs, bumped.rhs, bumped.seq) == (c.lhs, c.rhs, c.seq)
     assert bumped.lview is c.lview and bumped.rview is c.rview
+    assert repr(bumped) == repr(c) == f"{c.lhs!r} =?= {c.rhs!r}"
 
 
 def test_views_taken_about_once_per_constraint(monkeypatch):
