@@ -13,10 +13,10 @@ of four features:
     N       the position does not exist and no variable can create it
 
 The image is never built.  A fingerprint reads it lazily, down to the
-deepest sampled position only: at each subterm on the way it strips the
-written binders and takes the spine, reads the eta-expansion off the
-type, and beta-normalizes only a subterm headed by a redex.  `encode`
-builds the whole image; the tests sample it as the reference.
+deepest sampled position only, stripping binders, taking spines, reading
+eta-expansions off types and beta-normalizing only redex-headed subterms.
+A `Sym` comes from the C constructor behind `Sym(...)`, an `itemgetter`
+compiled once per plan picks the features; `encode` builds the whole image.
 
 Two fingerprints are compared componentwise with one of two tables: the
 symmetric one answers "could these terms possibly unify?", the
@@ -30,9 +30,9 @@ trie, one level per sampled position, beside a map from each fingerprint
 to its leaf (the same set object), so an insert under a known
 fingerprint skips the walk.  Retrieval visits only compatible branches
 and finds them by key: a rigid-symbol feature looks up its own key and
-the markers it accepts, and only an A or B feature scans a node's
-children.  Which keys a feature looks up is read off the two tables once
-per index, so they stay the only statement of compatibility.
+the markers it accepts, A scans a node's children, and B, which accepts
+every key, takes the level whole.  Which keys a feature looks up is read
+off the two tables once per index, the only statement of compatibility.
 Retrievals are pure reads over a snapshot; concurrent readers are safe
 as long as no insert runs at the same time.
 """
@@ -40,7 +40,8 @@ as long as no insert runs at the same time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from operator import itemgetter
+from typing import Callable, NamedTuple, Union
 
 from .errors import ParseError
 from .normalize import beta_normal, canonical, eta_index
@@ -52,7 +53,6 @@ from .terms import (
     Lam,
     Term,
     arg_types,
-    arity,
     spine,
     strip_lams,
     type_of,
@@ -128,8 +128,8 @@ def _encode(t: Term) -> FOTerm:
 
 #: a compiled position tuple: the prefixes of its positions as (parent,
 #: step) nodes, every parent before its children and the root first as
-#: (-1, 0); and the node of each position
-_Plan = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]
+#: (-1, 0); and what picks their features (an itemgetter, if two or more)
+_Plan = tuple[tuple[tuple[int, int], ...], Callable[[list], Fingerprint]]
 
 
 def _compile(positions: tuple[Position, ...]) -> _Plan:
@@ -142,7 +142,9 @@ def _compile(positions: tuple[Position, ...]) -> _Plan:
             if pos[:d] not in node_of:
                 node_of[pos[:d]] = len(nodes)
                 nodes.append((node_of[pos[:d - 1]], pos[d - 1]))
-    return tuple(nodes), tuple(node_of[pos] for pos in positions)
+    where = tuple(node_of[pos] for pos in positions)
+    select = itemgetter(*where) if len(where) > 1 else lambda fs: tuple(fs[i] for i in where)
+    return tuple(nodes), select
 
 
 def _sample(t: Term, plan: _Plan) -> Fingerprint:
@@ -157,7 +159,7 @@ def _sample(t: Term, plan: _Plan) -> Fingerprint:
     image adds.  A bound head is renumbered into the image by
     `eta_index`, through the chain of (written binders, k) of the levels
     above it.  Nothing is kept between calls."""
-    nodes, where = plan
+    nodes, select = plan
     feats: list = []
     # per node: (reversed written args, body type, k, env) below a rigid
     # head, else None
@@ -204,12 +206,13 @@ def _sample(t: Term, plan: _Plan) -> Fingerprint:
             feats.append(A)
             views.append(None)
             continue
-        k = arity(ty)
+        k = ty.arity
         if n or k:
             env = (n, k, env)
-        feats.append(Sym(head.name if cls is Const else eta_index(head.index, env)))
+        sym = head.name if cls is Const else eta_index(head.index, env)
+        feats.append(tuple.__new__(Sym, (sym,)))  # what Sym(sym) calls, in C only
         views.append((args, ty, k, env))
-    return tuple(feats[i] for i in where)
+    return select(feats)
 
 
 def fp_ho(t: Term, positions: tuple[Position, ...]) -> Fingerprint:
@@ -307,6 +310,8 @@ class FingerprintIndex:
             accepted, rejected = by_marker.get(feat) or ((feat, *sym_accepts), None)
             if rejected is None:
                 nodes = [c for node in nodes for k in accepted if (c := node.get(k)) is not None]
+            elif not rejected:  # the feature accepts every key: take the level whole
+                nodes = [c for node in nodes for c in node.values()]
             else:
                 nodes = [c for node in nodes for k, c in node.items() if k not in rejected]
             if not nodes:

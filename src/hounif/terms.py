@@ -21,7 +21,7 @@ from .errors import IllTyped
 # Types are interned: `Base(name)` and `Arrow(dom, cod)` return the one
 # object with those contents from `_TYPES`, keyed by the name or the ids of
 # the children it keeps alive.  Equality is identity, the hash structural,
-# pickling by constructor; `bases` counts a type's base types.
+# pickling by constructor; `bases` counts base types, `arity` arrows along `cod`.
 _TYPES: dict = {}
 
 
@@ -30,13 +30,13 @@ def _stored_hash(self):
 
 
 class Base:
-    __slots__ = ("name", "_hash", "bases")
+    __slots__ = ("name", "_hash", "bases", "arity")
     __match_args__ = ("name",)
 
     def __new__(cls, name: str):
         if (ty := _TYPES.get(name)) is None:
             ty = object.__new__(cls)
-            ty.name, ty._hash, ty.bases = name, hash((name,)), 1
+            ty.name, ty._hash, ty.bases, ty.arity = name, hash((name,)), 1, 0
             ty = _TYPES.setdefault(name, ty)  # the first of racing threads wins
         return ty
 
@@ -52,13 +52,14 @@ class Base:
 class Arrow:
     """A function type; `repr` loops along `cod`, never recursing on arity."""
 
-    __slots__ = ("dom", "cod", "_hash", "bases")
+    __slots__ = ("dom", "cod", "_hash", "bases", "arity")
     __match_args__ = ("dom", "cod")
 
     def __new__(cls, dom: "Type", cod: "Type"):
         if (ty := _TYPES.get(key := (id(dom), id(cod)))) is None:
             ty = object.__new__(cls)
-            ty.dom, ty.cod, ty._hash, ty.bases = dom, cod, hash((dom, cod)), dom.bases + cod.bases
+            ty.dom, ty.cod, ty._hash = dom, cod, hash((dom, cod))
+            ty.bases, ty.arity = dom.bases + cod.bases, cod.arity + 1
             ty = _TYPES.setdefault(key, ty)
         return ty
 
@@ -102,11 +103,7 @@ def result_type(ty: Type) -> Base:
 
 
 def arity(ty: Type) -> int:
-    n = 0
-    while isinstance(ty, Arrow):
-        n += 1
-        ty = ty.cod
-    return n
+    return ty.arity
 
 
 # ---------------------------------------------------------------- terms

@@ -157,7 +157,9 @@ def test_encoding_erases_binders_and_swallows_flex_arguments():
 def test_lazy_pass_equals_reference_model():
     # canonical, eta-short, beta-expanded and open forms of seeded terms
     rng = random.Random(4242)
-    postuples = (DEFAULT_POSITIONS, P3, ((),), DEEP3)
+    # a repeated position and a lone non-root one: the compiled selection
+    # gives each position's feature in the order given
+    postuples = (DEFAULT_POSITIONS, P3, ((),), DEEP3, ((2,), (1, 1), (2,)), ((1,),))
     for _ in range(400):
         frees = make_frees(rng, 3, start=0)
         t = gen_sized(rng, rand_type(rng), mode="any", frees=frees, max_size=10)
@@ -442,6 +444,11 @@ def test_sym_value_semantics():
         assert back == x and type(back) is Sym
     assert repr(Sym("f")) == "Sym(sym='f')" and repr(Sym(0)) == "Sym(sym=0)"
     assert str(Sym("f")) == "f" and str(Sym(0)) == "db0"
+    # the sampler builds its features without Sym's Python-level __new__
+    (sampled,) = fp_ho(Const("f", I), ((),))
+    assert type(sampled) is Sym and sampled == Sym("f") and hash(sampled) == hash(Sym("f"))
+    back = pickle.loads(pickle.dumps(sampled))
+    assert type(back) is Sym and back == sampled
 
 
 # -------------------------------------------------------------- positions

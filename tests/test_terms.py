@@ -481,6 +481,23 @@ def test_types_are_interned():
     assert all(a is b for other in built[1:] for a, b in zip(built[0], other))
 
 
+def test_types_store_their_arity():
+    # every type of seeded terms keeps the number of arrows along its
+    # codomains, as built and after a pickle round trip
+    rng = random.Random(83)
+    frees = make_frees(rng, 4, 0)
+    terms = [gen_sized(rng, termgen.rand_type(rng), frees=frees, max_size=14) for _ in range(200)]
+    arities = set()
+    for ty in signature_types(terms):
+        n, t = 0, ty
+        while type(t) is Arrow:
+            n, t = n + 1, t.cod
+        back = pickle.loads(pickle.dumps(ty))
+        assert ty.arity == back.arity == arity(ty) == n == len(arg_types(ty))
+        arities.add(n)
+    assert arities == {0, 1, 2}
+
+
 def test_a_repeated_solve_adds_no_type():
     # criterion 10 (F G G =?= f G) solved twice: the second solve builds
     # only types the first one interned
