@@ -77,7 +77,6 @@ from .terms import (
     Term,
     Type,
     arg_types,
-    arity,
     free_vars,
     head_of,
     mk_app,
@@ -399,7 +398,7 @@ def _binding_delta(b: Binding) -> Limits:
             return Limits(1, 0, 0, 0, 1)
         case "elimination":
             F, image = b.entries[0]
-            removed = arity(F.ty) - len(spine(strip_lams(image)[1])[1])
+            removed = F.ty.arity - len(spine(strip_lams(image)[1])[1])
             return Limits(1, 0, removed, 0, 0)
         case "huet_projection":
             _, image_body = strip_lams(b.entries[0][1])
@@ -430,24 +429,24 @@ def _candidates(F: Free, other: Term, search: Search) -> Iterator[Binding | None
     if not isinstance(other, Free):
         group = [imitation(F, other, supply)] if isinstance(other, Const) else []
         if F.sort != IDENTIFICATION:
-            group.extend(huet_projection(F, i, supply) for i in range(1, arity(F.ty) + 1))
+            group.extend(huet_projection(F, i, supply) for i in range(1, F.ty.arity + 1))
         yield from group
     elif F.id != other.id:
         group = [identification(F, other, supply)]
         if complete:
             for V in (F, other):
                 if V.sort != IDENTIFICATION:
-                    group.extend(jp_projection(V, i) for i in range(1, arity(V.ty) + 1))
+                    group.extend(jp_projection(V, i) for i in range(1, V.ty.arity + 1))
         elif F.sort != IDENTIFICATION:
-            group.extend(huet_projection(F, i, supply) for i in range(1, arity(F.ty) + 1))
+            group.extend(huet_projection(F, i, supply) for i in range(1, F.ty.arity + 1))
         yield from group
         if complete:
             yield from _roundrobin(
-                _iterations_for(F, list(range(1, arity(F.ty) + 1)), search),
-                _iterations_for(other, list(range(1, arity(other.ty) + 1)), search),
+                _iterations_for(F, list(range(1, F.ty.arity + 1)), search),
+                _iterations_for(other, list(range(1, other.ty.arity + 1)), search),
             )
     elif F.sort != ELIMINATION:
-        for keep in _proper_subsequences(arity(F.ty)):
+        for keep in _proper_subsequences(F.ty.arity):
             yield elimination(F, keep, supply)
         if complete:
             func_args = [

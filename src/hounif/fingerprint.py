@@ -13,10 +13,13 @@ of four features:
     N       the position does not exist and no variable can create it
 
 The image is never built.  A fingerprint reads it lazily, down to the
-deepest sampled position only, stripping binders, taking spines, reading
-eta-expansions off types and beta-normalizing only redex-headed subterms.
-A `Sym` comes from the C constructor behind `Sym(...)`, an `itemgetter`
-compiled once per plan picks the features; `encode` builds the whole image.
+deepest sampled position only: at each subterm on the way it strips the
+written binders and takes the spine, reads the eta-expansion off the
+type, and beta-normalizes only a subterm headed by a redex.  A rigid
+symbol's feature is built by the C constructor that `Sym(...)` calls,
+and the sampled features are picked by a selection compiled once per
+position tuple.  `encode` builds the whole image; the tests sample it as
+the reference.
 
 Two fingerprints are compared componentwise with one of two tables: the
 symmetric one answers "could these terms possibly unify?", the
@@ -30,9 +33,10 @@ trie, one level per sampled position, beside a map from each fingerprint
 to its leaf (the same set object), so an insert under a known
 fingerprint skips the walk.  Retrieval visits only compatible branches
 and finds them by key: a rigid-symbol feature looks up its own key and
-the markers it accepts, A scans a node's children, and B, which accepts
-every key, takes the level whole.  Which keys a feature looks up is read
-off the two tables once per index, the only statement of compatibility.
+the markers it accepts, an A feature scans a node's children, and a B
+feature, which accepts every key, takes the level whole.  Which keys a
+feature looks up is read off the two tables once per index, so they stay
+the only statement of compatibility.
 Retrievals are pure reads over a snapshot; concurrent readers are safe
 as long as no insert runs at the same time.
 """
@@ -128,7 +132,7 @@ def _encode(t: Term) -> FOTerm:
 
 #: a compiled position tuple: the prefixes of its positions as (parent,
 #: step) nodes, every parent before its children and the root first as
-#: (-1, 0); and what picks their features (an itemgetter, if two or more)
+#: (-1, 0); and what picks the features at the positions, in their order
 _Plan = tuple[tuple[tuple[int, int], ...], Callable[[list], Fingerprint]]
 
 
@@ -143,7 +147,10 @@ def _compile(positions: tuple[Position, ...]) -> _Plan:
                 node_of[pos[:d]] = len(nodes)
                 nodes.append((node_of[pos[:d - 1]], pos[d - 1]))
     where = tuple(node_of[pos] for pos in positions)
-    select = itemgetter(*where) if len(where) > 1 else lambda fs: tuple(fs[i] for i in where)
+    if len(where) > 1:
+        select = itemgetter(*where)  # picks in C, no Python step per feature
+    else:  # itemgetter returns one item bare and takes no zero
+        select = lambda fs: tuple(fs[i] for i in where)  # noqa: E731
     return tuple(nodes), select
 
 

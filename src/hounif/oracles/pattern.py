@@ -19,7 +19,6 @@ from ..terms import (
     Free,
     Term,
     arg_types,
-    arity,
     arrow,
     mk_app,
     mk_lams,
@@ -71,7 +70,7 @@ def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply, fue
     `inv` (prefix index -> argument position).  Raises _Clash when a rigid
     position mentions an unmapped prefix variable or F itself, and _Prune
     when an inner variable must first drop some arguments."""
-    m = arity(F.ty)
+    m = F.ty.arity
     out: list[Term] = []
     # (subterm, binder depth) visits in preorder, and (binders, head,
     # argument count) builds once the arguments are in `out`

@@ -18,7 +18,6 @@ The engine builds its substitutions unvalidated (`validate=False`);
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Iterator, Optional
 
 from .errors import IdempotenceViolation, IllTyped
@@ -45,12 +44,15 @@ class Substitution:
         m: dict[int, tuple[Free, Term]] = {}
         for var, image in entries:
             m[var.id] = (var, image)
-        for var, image in m.values() if validate else ():
-            if check_image(image, var.ty, sys.maxsize) is None:  # a redex, or ill-typed
+        if validate:
+            for var, image in m.values():
                 if not is_closed(image):
                     raise IllTyped(f"image of {var!r} has loose bound variables")
-                if (it := type_of(image)) is not var.ty:
-                    raise IllTyped(f"image of {var!r} has type {it!r}, expected {var.ty!r}")
+                it = type_of(image)
+                if it is not var.ty:
+                    raise IllTyped(
+                        f"image of {var!r} has type {it!r}, expected {var.ty!r}"
+                    )
         object.__setattr__(self, "_map", m)
 
     # -- inspection ----------------------------------------------------

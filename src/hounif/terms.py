@@ -102,10 +102,6 @@ def result_type(ty: Type) -> Base:
     return ty
 
 
-def arity(ty: Type) -> int:
-    return ty.arity
-
-
 # ---------------------------------------------------------------- terms
 
 #: Sorts of free variables.  Variables of the initial problem are plain;

@@ -27,7 +27,6 @@ from hounif.terms import (
     Term,
     Type,
     arg_types,
-    arity,
     arrow,
     free_vars,
     mk_app,
@@ -83,10 +82,10 @@ def _heads(base: Type, env: tuple[Type, ...], frees, mode: str):
 
 def _head_arity(kind, obj, env) -> int:
     if kind == "c":
-        return arity(obj.ty)
+        return obj.ty.arity
     if kind == "b":
-        return arity(env[-1 - obj])
-    return arity(obj.ty)
+        return env[-1 - obj].arity
+    return obj.ty.arity
 
 
 def _bound_args(rng, doms, env, distinct: bool):

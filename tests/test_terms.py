@@ -23,7 +23,6 @@ from hounif.terms import (
     Free,
     Lam,
     arg_types,
-    arity,
     arrow,
     free_vars,
     head_of,
@@ -56,8 +55,8 @@ def test_type_helpers():
     assert ty == Arrow(I, Arrow(II, I))
     assert arg_types(ty) == (I, II)
     assert result_type(ty) == I
-    assert arity(ty) == 2
-    assert arity(I) == 0
+    assert ty.arity == 2
+    assert I.arity == 0
 
 
 def test_type_of_golden_and_failure():
@@ -493,7 +492,7 @@ def test_types_store_their_arity():
         while type(t) is Arrow:
             n, t = n + 1, t.cod
         back = pickle.loads(pickle.dumps(ty))
-        assert ty.arity == back.arity == arity(ty) == n == len(arg_types(ty))
+        assert ty.arity == back.arity == n == len(arg_types(ty))
         arities.add(n)
     assert arities == {0, 1, 2}
 
