@@ -115,9 +115,9 @@ def cmd_solve(args) -> int:
 
 
 def _freeze(t):
-    """Replace free variables by fresh constants (for match checking)."""
+    """Freeze free variables as constants `frozen-<id>`, a name no input can write."""
     subst = Substitution(
-        (v, Const(f"frozen_{vid}", v.ty)) for vid, v in free_vars(t).items()
+        (v, Const(f"frozen-{vid}", v.ty)) for vid, v in free_vars(t).items()
     )
     return subst.apply(t)
 

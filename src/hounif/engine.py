@@ -83,8 +83,6 @@ from .terms import (
     mk_lams,
     result_type,
     size_within,
-    spine,
-    strip_lams,
     term_key,  # noqa: F401  (perfbench/tracer.py wraps engine.term_key)
     term_order,
     type_of,
@@ -137,9 +135,15 @@ NO_BINDINGS = Limits(0, 0, 0, 0, 0)
 
 def _view(t: Term) -> tuple[list[Type], Term, list[Term]]:
     """(binder types, head, arguments) of t, as `strip_lams` and `spine` give them."""
-    tys, body = strip_lams(t)
-    head, args = spine(body)
-    return tys, head, args
+    tys, args = [], []
+    while type(t) is Lam:
+        tys.append(t.binder)
+        t = t.body
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    return tys, t, args
 
 
 class Constraint:
@@ -153,7 +157,7 @@ class Constraint:
     side's view is taken once, where the side first enters a constraint,
     and every copy that keeps the side shares it: `make`'s reoriented
     pair swaps the views, `with_sides` keeps the view of a side passed
-    back unchanged, and a counter bump (`with_counters`) keeps both.
+    back unchanged, and a counter bump (in `_children`) keeps both.
 
     `make` puts a pair in the canonical orientation (`term_order`), except
     a rigid pair: one whose sides have equally long binder prefixes and
@@ -176,7 +180,8 @@ class Constraint:
 
     @staticmethod
     def make(s: Term, t: Term, seq: int, counters: Limits = NO_BINDINGS) -> "Constraint":
-        ts, tt = type_of(s), type_of(t)
+        # an App/Lam's type memo is read in place; `type_of` types the rest
+        ts, tt = getattr(s, "_ty", None) or type_of(s), getattr(t, "_ty", None) or type_of(t)
         if ts is not tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
         sv, tv = _view(s), _view(t)
@@ -192,9 +197,6 @@ class Constraint:
             self.lview if s is self.lhs else None,
             self.rview if t is self.rhs else None,
         )
-
-    def with_counters(self, counters: Limits) -> "Constraint":
-        return Constraint(self.lhs, self.rhs, self.seq, counters, self.lview, self.rview)
 
     def __repr__(self):
         return f"{self.lhs!r} =?= {self.rhs!r}"
@@ -299,8 +301,6 @@ def rank(c: Constraint, subst: TriangularSubst) -> int:
 def select(constraints: tuple[Constraint, ...], subst: TriangularSubst) -> Constraint:
     """Pick the constraint to work on: rigid-rigid first, then flex-rigid,
     then flex-flex; ties go to the oldest (lowest sequence number)."""
-    if len(constraints) == 1:
-        return constraints[0]
     return min(constraints, key=lambda c: (rank(c, subst), c.seq))
 
 
@@ -398,12 +398,9 @@ def _binding_delta(b: Binding) -> Limits:
             return Limits(1, 0, 0, 0, 1)
         case "elimination":
             F, image = b.entries[0]
-            removed = F.ty.arity - len(spine(strip_lams(image)[1])[1])
-            return Limits(1, 0, removed, 0, 0)
+            return Limits(1, 0, F.ty.arity - len(_view(image)[2]), 0, 0)
         case "huet_projection":
-            _, image_body = strip_lams(b.entries[0][1])
-            _, args = spine(image_body)
-            if args:
+            if _view(b.entries[0][1])[2]:
                 return Limits(1, 1, 0, 0, 0)
             return NO_BINDINGS  # base-type projection: shrinks the problem
         case "jp_projection":
@@ -506,17 +503,17 @@ def _extended(rho: Substitution, state: UnifState, search: Search) -> Triangular
 
 
 def _decomposed(c: Constraint, state: UnifState) -> UnifState:
-    tys, _, sargs = c.lview
-    targs = c.rview[2]
+    (tys, _, sargs), targs = c.lview, c.rview[2]
     if len(sargs) != len(targs):
         raise InternalError("equal heads with unequal argument counts")
-    seq, counters = state.next_seq, c.counters
-    children = [
-        Constraint.make(mk_lams(tys, a), mk_lams(tys, b), seq + i, counters)
-        for i, (a, b) in enumerate(zip(sargs, targs))
-    ]
-    rest = [x for x in state.constraints if x is not c]
-    return UnifState(tuple(rest + children), state.subst, seq + len(children))
+    if tys:  # else the arguments themselves are the children's sides
+        sargs, targs = [mk_lams(tys, a) for a in sargs], [mk_lams(tys, b) for b in targs]
+    seq, counters, children = state.next_seq, c.counters, []
+    for a, b in zip(sargs, targs):
+        children.append(Constraint.make(a, b, seq, counters))
+        seq += 1
+    rest = [x for x in state.constraints if x is not c] if len(state.constraints) > 1 else []
+    return UnifState(tuple(rest + children), state.subst, seq)
 
 
 def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constraint], object]:
@@ -528,10 +525,11 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     (heads_equal, bindings) for a branch; otherwise None."""
     cfg = search.cfg
     subst = state.subst
-    if not state.constraints:
+    cs = state.constraints
+    if not cs:
         return "succeed", None, None
 
-    c = select(state.constraints, subst)
+    c = cs[0] if len(cs) == 1 else select(cs, subst)
     s, t = c.lhs, c.rhs
     (stys, hs, _), (ttys, ht, _) = c.lview, c.rview
 
@@ -553,9 +551,10 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     if not flex_l and not flex_r:
         if hs is not ht and hs != ht:
             return "fail", c, None
-        # hashes are memoized per node, so along a cascade of decomposes
-        # each node is hashed once and each layer's check costs O(1)
-        if hash(s) == hash(t) and s == t:
+        # hashes are memoized per node (read in place, computed where empty), so
+        # along a cascade of decomposes each node is hashed once and each check is O(1)
+        hash_s, hash_t = getattr(s, "_hash", None) or hash(s), getattr(t, "_hash", None) or hash(t)
+        if hash_s == hash_t and s == t:
             return "delete", c, None
         return "branch", c, (True, ())
 
@@ -657,7 +656,7 @@ def _children(
         if delta is None:  # an oracle's unifier solves c
             rho, constraints = edge, state.without(c)
         else:
-            bumped = c.with_counters(c.counters.add(delta))
+            bumped = Constraint(c.lhs, c.rhs, c.seq, c.counters.add(delta), c.lview, c.rview)
             rho = edge.as_subst()
             constraints = tuple([bumped if x is c else x for x in state.constraints])
         try:
@@ -754,7 +753,7 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
             search.budget_hit = True
             return
         task = agenda.popleft()
-        if isinstance(task, UnifState):
+        if type(task) is UnifState:
             spent = 0
             while True:
                 try:
@@ -769,7 +768,7 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
                 states = res.states
                 if not states:  # the step failed
                     break
-                if isinstance(states, tuple):
+                if type(states) is tuple:
                     task = states[0]
                     if spent >= _PACING:
                         agenda.append(task)

@@ -83,7 +83,8 @@ class _Marker:
     def __repr__(self) -> str:
         return self._name
 
-    __str__ = __repr__
+    def __reduce__(self):  # unpickles as the module-level marker of that name
+        return self._name
 
 
 A = _Marker("A")

@@ -17,6 +17,7 @@ import pytest
 import hounif.cli as cli
 
 DEMO_PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "problems"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 TWO_UNIFIER_PROBLEM = """\
 tp i.
@@ -427,6 +428,21 @@ def test_demo_index_file_verifies(capsys):
     )
     assert rc == 0, err
     assert "filter-ratio:" in out
+
+
+def test_index_verify_frozen_names_clash_with_no_input(capsys):
+    # the query names a constant `frozen_0`; freezing `f X` for the match
+    # check must not make that constant and confirm a pair that does not match
+    rc, out, err = run_cli(
+        capsys, ["index", str(DATA / "frozen_name.hou"), "--verify"]
+    )
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "term 1: f X",
+        "query 1 match: candidates []",
+        "query 1 match: confirmed []",
+        "filter-ratio: 1.00",
+    ]
 
 
 def test_index_verify_reports_undecided_pairs(tmp_path, capsys):

@@ -579,9 +579,56 @@ def test_transition_on_rigid_pair_walks_no_side(monkeypatch, pair, rule):
     def walked(*args):
         raise AssertionError("a constraint side was walked again")
 
-    monkeypatch.setattr(engine, "spine", walked)
-    monkeypatch.setattr(engine, "strip_lams", walked)
+    monkeypatch.setattr(engine, "_view", walked)
     assert engine._transition(state, search)[0] == rule
+
+
+def test_view_equals_strip_lams_then_spine():
+    """`_view`'s inline walk gives what `strip_lams` and `spine` give,
+    element by element, on seeded terms with binders, bound heads and
+    redex heads (a Lam applied under binders)."""
+    rng = random.Random(47)
+    seen = {"binders": 0, "bound": 0, "redex": 0}
+    for _ in range(300):
+        frees = make_frees(rng, 2, 10)
+        ty = termgen.rand_type(rng)
+        t = termgen.gen_sized(rng, ty, mode="any", frees=frees, max_size=9)
+        terms = [t]
+        if type(ty) is Arrow:  # a canonical t of arrow type is a Lam
+            arg = termgen.gen_sized(rng, ty.dom, mode="any", frees=frees, max_size=5)
+            terms += [App(t, arg), Lam(I, App(t, arg)), Lam(ty, App(t, Bound(0, ty.dom)))]
+        for u in terms:
+            tys, head, args = engine._view(u)
+            want_tys, body = strip_lams(u)
+            want_head, want_args = spine(body)
+            assert len(tys) == len(want_tys) and all(x is y for x, y in zip(tys, want_tys))
+            assert head is want_head
+            assert len(args) == len(want_args) and all(x is y for x, y in zip(args, want_args))
+            seen["binders"] += bool(tys)
+            seen["bound"] += type(head) is Bound
+            seen["redex"] += type(head) is Lam
+    assert min(seen.values()) >= 20, seen
+
+
+def _decomposition(pair):
+    state, search = prepare([pair], NO_ORACLES)
+    res = step(state, search)
+    assert res.rule == "branch"
+    return next(res.states).constraints
+
+
+def test_binder_free_decomposition_children_are_the_arguments():
+    # a binder-free rigid pair's arguments become its children's sides as
+    # they are, with no copy; under binders each child gets the prefix
+    X, Y = Free(0, I), Free(1, I)
+    s, t = mk_app(g, [hpow(2, a), X]), mk_app(g, [Y, App(f, b)])
+    children = _decomposition((s, t))
+    assert len(children) == 2
+    for c, u, v in zip(children, spine(s)[1], spine(t)[1]):
+        assert (c.lhs is u and c.rhs is v) or (c.lhs is v and c.rhs is u), c
+    lam_s, lam_t = Lam(I, App(f, Bound(0, I))), Lam(I, App(f, X))
+    (c,) = _decomposition((lam_s, lam_t))
+    assert {c.lhs, c.rhs} == {Lam(I, Bound(0, I)), Lam(I, X)}
 
 
 def _signature_types_calls(monkeypatch, problems):

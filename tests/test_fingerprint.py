@@ -451,6 +451,28 @@ def test_sym_value_semantics():
     assert type(back) is Sym and back == sampled
 
 
+def test_populated_index_survives_pickling():
+    # the markers unpickle as the module's own, so the copy's trie keys
+    # still meet the query features: f X (0) and f a (1) both answer f a
+    X = Free(0, I)
+    index = FingerprintIndex()
+    index.insert(0, App(f1, X))
+    index.insert(1, App(f1, a))
+    assert pickle.loads(pickle.dumps((A, B, N))) == (A, B, N)
+    copy = pickle.loads(pickle.dumps(index))
+    assert copy.retrieve_unifiable(App(f1, a)) == index.retrieve_unifiable(App(f1, a)) == {0, 1}
+    rng = random.Random(31)
+    for i in range(2, 150):
+        frees = make_frees(rng, 2, start=0)
+        index.insert(i, gen_sized(rng, rand_type(rng), mode="any", frees=frees, max_size=8))
+    copy = pickle.loads(pickle.dumps(index))
+    for _ in range(60):
+        frees = make_frees(rng, 2, start=0)
+        q = gen_sized(rng, rand_type(rng), mode="any", frees=frees, max_size=8)
+        assert copy.retrieve_unifiable(q) == index.retrieve_unifiable(q)
+        assert copy.retrieve_matching(q) == index.retrieve_matching(q)
+
+
 # -------------------------------------------------------------- positions
 
 
