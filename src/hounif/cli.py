@@ -26,12 +26,10 @@ import sys
 import time
 from typing import Optional
 
-from .engine import EngineConfig, Limits, solve, verify_unifier
+from .engine import EngineConfig, Limits, confirm, solve, verify_unifier
 from .errors import HounifError, InternalError
 from .fingerprint import DEFAULT_POSITIONS, FingerprintIndex, parse_positions
 from .problem_io import parse_index, parse_problem, print_term, print_unifier
-from .subst import Substitution
-from .terms import Const, Free, free_vars, type_of
 
 _VERIFY_BUDGET = 20_000  # engine steps per index confirmation
 
@@ -114,37 +112,6 @@ def cmd_solve(args) -> int:
     return 0 if found else 1
 
 
-def _freeze(t):
-    """Freeze free variables as constants `frozen-<id>`, a name no input can write."""
-    subst = Substitution(
-        (v, Const(f"frozen-{vid}", v.ty)) for vid, v in free_vars(t).items()
-    )
-    return subst.apply(t)
-
-
-def _rename_apart(t, offset: int):
-    subst = Substitution(
-        (v, Free(v.id + offset, v.ty)) for v in free_vars(t).values()
-    )
-    return subst.apply(t)
-
-
-def _confirm(query, entry, mode: str) -> Optional[bool]:
-    """Does the engine unify (or match) the pair?  None: budget stop, no unifier."""
-    if type_of(query) != type_of(entry):
-        return False
-    if mode == "match":
-        entry = _freeze(entry)
-    else:
-        offset = 1 + max((v for v in free_vars(query)), default=0)
-        offset += max((v for v in free_vars(entry)), default=0)
-        entry = _rename_apart(entry, offset)
-    stream = solve([(query, entry)], EngineConfig(max_steps=_VERIFY_BUDGET))
-    if stream.unifiers(limit=1):
-        return True
-    return None if stream.status == "budget" else False
-
-
 def cmd_index(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         ix = parse_index(fh.read())
@@ -166,7 +133,7 @@ def cmd_index(args) -> int:
         shown = " ".join(str(t) for t in sorted(cands))
         print(f"query {qid} {mode}: candidates [{shown}]")
         if args.verify:
-            answers = [(tid, _confirm(qterm, term, mode))
+            answers = [(tid, confirm(qterm, term, mode, _VERIFY_BUDGET))
                        for tid, term in enumerate(ix.entries, start=1)]
             confirmed = [tid for tid, yes in answers if yes]
             missed = [tid for tid in confirmed if tid not in cands]

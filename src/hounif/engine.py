@@ -803,3 +803,23 @@ def verify_unifier(pairs, subst: Substitution) -> bool:
         if canonical(subst.apply(s)) != canonical(subst.apply(t)):
             return False
     return True
+
+
+def confirm(query: Term, entry: Term, mode: str, max_steps: int) -> Optional[bool]:
+    """True when a run of at most `max_steps` steps unifies the pair ("unif")
+    or instantiates the query to the entry ("match"), False when it refutes
+    that, None otherwise.  A match freezes each entry variable to a constant
+    `frozen-<id>`, a name no input can write; unif renames them apart."""
+    if type_of(query) is not type_of(entry):
+        return False
+    fvs = sorted(free_vars(entry).items())
+    if mode == "match":
+        rho = [(v, Const(f"frozen-{i}", v.ty)) for i, v in fvs]
+    else:
+        supply = FreshSupply()
+        supply.reserve_ids([*free_vars(query), *(i for i, _ in fvs)])
+        rho = [(v, supply.fresh(v.ty, v.sort)) for _, v in fvs]
+    stream = solve([(query, Substitution(rho).apply(entry))], EngineConfig(max_steps=max_steps))
+    if stream.unifiers(limit=1):
+        return True
+    return False if stream.status == "non-unifiable" else None

@@ -44,6 +44,7 @@ as long as no insert runs at the same time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Callable, NamedTuple, Union
 
@@ -151,8 +152,12 @@ def _compile(positions: tuple[Position, ...]) -> _Plan:
     if len(where) > 1:
         select = itemgetter(*where)  # picks in C, no Python step per feature
     else:  # itemgetter returns one item bare and takes no zero
-        select = lambda fs: tuple(fs[i] for i in where)  # noqa: E731
+        select = partial(_pick, where)  # module-level, so an index pickles
     return tuple(nodes), select
+
+
+def _pick(where: tuple[int, ...], fs: list) -> Fingerprint:
+    return tuple(fs[i] for i in where)
 
 
 def _sample(t: Term, plan: _Plan) -> Fingerprint:

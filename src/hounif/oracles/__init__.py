@@ -90,8 +90,19 @@ def eta_bound_index(arg: Term) -> int | None:
 
 def binders_in_order(args: list[Term], n: int) -> bool:
     """Are ``args`` the eta-long forms of the n binders around them, in
-    order, as in ``\\x1...xn. F x1 ... xn``?"""
-    return len(args) == n and all(eta_bound_index(a) == n - 1 - i for i, a in enumerate(args))
+    order, as in ``\\x1...xn. F x1 ... xn``?  Walked with a stack, not by
+    `eta_bound_index`: the forms nest one level per order of the type."""
+    if len(args) != n:
+        return False
+    todo = [(a, n - 1 - i) for i, a in enumerate(args)]
+    while todo:
+        a, want = todo.pop()
+        tys, body = strip_lams(a)
+        head, sub = spine(body)
+        if type(head) is not Bound or head.index != want + len(tys) or len(sub) != len(tys):
+            return False
+        todo += ((s, len(tys) - 1 - j) for j, s in enumerate(sub))
+    return True
 
 
 from . import fixpoint, pattern, solid  # noqa: E402,F401  (populate the registry)

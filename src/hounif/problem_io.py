@@ -56,6 +56,7 @@ from .terms import (
     Type,
     arrow,
     free_vars,
+    show_type,
     spine,
     type_of,
 )
@@ -299,15 +300,7 @@ def parse_index(text: str) -> Problem:
 
 
 def print_type(ty: Type) -> str:
-    out, todo = [], [ty]
-    while todo:
-        t = todo.pop()
-        if type(t) is Arrow:
-            todo += (t.cod, " > ")
-            todo += (")", t.dom, "(") if type(t.dom) is Arrow else (t.dom,)
-        else:
-            out.append(t if type(t) is str else t.name)
-    return "".join(out)
+    return show_type(ty, " > ")
 
 
 def print_term(t: Term, names: dict[int, str]) -> str:

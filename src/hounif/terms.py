@@ -29,6 +29,20 @@ def _stored_hash(self):
     return self._hash
 
 
+def show_type(ty: "Type", sep: str = ">") -> str:
+    """`ty` with `sep` for each arrow and an arrow domain in parentheses,
+    printed from an explicit stack, so neither arity nor order recurses."""
+    out, todo = [], [ty]
+    while todo:
+        t = todo.pop()
+        if type(t) is Arrow:
+            todo += (t.cod, sep)
+            todo += (")", t.dom, "(") if type(t.dom) is Arrow else (t.dom,)
+        else:
+            out.append(t if type(t) is str else t.name)
+    return "".join(out)
+
+
 class Base:
     __slots__ = ("name", "_hash", "bases", "arity")
     __match_args__ = ("name",)
@@ -44,13 +58,11 @@ class Base:
         return Base, (self.name,)
 
     __hash__ = _stored_hash
-
-    def __repr__(self):
-        return self.name
+    __repr__ = show_type
 
 
 class Arrow:
-    """A function type; `repr` loops along `cod`, never recursing on arity."""
+    """A function type; `repr` is `show_type`, never recursing on arity or order."""
 
     __slots__ = ("dom", "cod", "_hash", "bases", "arity")
     __match_args__ = ("dom", "cod")
@@ -67,14 +79,7 @@ class Arrow:
         return Arrow, (self.dom, self.cod)
 
     __hash__ = _stored_hash
-
-    def __repr__(self):
-        out, t = [], self
-        while type(t) is Arrow:
-            out.append(f"({t.dom!r})>" if type(t.dom) is Arrow else f"{t.dom!r}>")
-            t = t.cod
-        out.append(repr(t))
-        return "".join(out)
+    __repr__ = show_type
 
 
 Type = Union[Base, Arrow]
@@ -213,8 +218,7 @@ def _term_repr(self):
     argument that is an App or a Lam, and a function that is a Lam, are
     parenthesized.  Printed from an explicit stack of pieces, either a
     string to emit or a subterm to print, so no call recurses."""
-    out = []
-    todo = [self]
+    out, todo = [], [self]
     while todo:
         t = todo.pop()
         cls = type(t)
@@ -222,10 +226,7 @@ def _term_repr(self):
             out.append(t)
         elif cls is App:
             fn, arg = t.fn, t.arg
-            if type(arg) is App or type(arg) is Lam:
-                todo += (")", arg, " (")
-            else:
-                todo += (arg, " ")
+            todo += (")", arg, " (") if type(arg) is App or type(arg) is Lam else (arg, " ")
             todo += (")", fn, "(") if type(fn) is Lam else (fn,)
         elif cls is Lam:
             todo += (")", t.body, f"(\\:{t.binder!r}. ")

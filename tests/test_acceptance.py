@@ -20,13 +20,13 @@ from termgen import (
     make_frees,
     subst_key,
 )
-from hounif.engine import EngineConfig, prepare, solve, step, verify_unifier
+from hounif.engine import EngineConfig, confirm, prepare, solve, step, verify_unifier
 from hounif.fingerprint import DEFAULT_POSITIONS, FingerprintIndex, N, Sym, fp_ho
 from hounif.normalize import Fuel, canonical
 from hounif.oracles import NotApplicable, NotUnifiable, Success
 from hounif.oracles import resolve as _resolve
 from hounif.subst import FreshSupply, Substitution
-from hounif.terms import App, Bound, Const, Free, Lam, arrow, free_vars, mk_app, type_of
+from hounif.terms import App, Bound, Const, Free, Lam, arrow, free_vars, mk_app
 from test_engine import applicable_rules
 from test_fingerprint import compatible_unif
 
@@ -290,23 +290,9 @@ def test_criterion_6_soundness_1000_random_problems(scoreboard):
 
 
 def _confirm_bounded(query, entry, mode):
-    """Bounded engine check mirroring the CLI's --verify semantics.
+    """Bounded engine check with the CLI's --verify semantics.
     Returns True / False / None (= engine did not conclude)."""
-    if type_of(query) != type_of(entry):
-        return False
-    if mode == "match":
-        entry = Substitution(
-            (v, Const(f"frozen_{vid}", v.ty)) for vid, v in free_vars(entry).items()
-        ).apply(entry)
-    else:
-        entry = Substitution(
-            (v, Free(v.id + 1_000_000, v.ty)) for v in free_vars(entry).values()
-        ).apply(entry)
-    st = solve([(query, entry)], EngineConfig(max_steps=300))
-    found = st.unifiers(limit=1, max_pulls=150)
-    if found:
-        return True
-    return False if st.status == "non-unifiable" else None
+    return confirm(query, entry, mode, max_steps=300)
 
 
 def test_criterion_7_index_no_false_negatives(scoreboard):

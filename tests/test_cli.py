@@ -284,6 +284,19 @@ def test_solve_deep_tower_file(tmp_path, capsys, k):
     assert out.startswith("unifier 1:\n  X -> a\n\nstatus: exhausted\nfound: 1\n")
 
 
+def test_solve_flex_flex_pair_of_order_1000_exits_1(tmp_path, capsys):
+    # F, G : tau_1000, where tau_0 = i and tau_k = tau_(k-1) > i: the run
+    # stops at the image depth cap with no unifier, not in the recursion
+    # guard's exit 2
+    ty = "i > i"
+    for _ in range(999):
+        ty = f"({ty}) > i"
+    problem = f"tp i.\nvar F : {ty}.\nvar G : {ty}.\nunify: F =?= G.\n"
+    rc, out, err = run_cli(capsys, ["solve", write(tmp_path, problem), "--max-unifiers", "1"])
+    assert (rc, err) == (1, "")
+    assert out.startswith("status: budget\nfound: 0\n")
+
+
 def test_solve_constant_of_500_arguments(tmp_path, capsys):
     n = 500
     problem = "tp i.\nconst a : i.\nconst c : " + " > ".join(["i"] * (n + 1)) + ".\n"
@@ -339,7 +352,7 @@ def test_index_verify_confirms_candidates(tmp_path, capsys):
 def test_index_verify_reports_retrieval_miss(tmp_path, capsys, monkeypatch):
     # Force every entry to count as confirmed: filtered queries must then
     # be flagged as retrieval misses through the internal-error exit code.
-    monkeypatch.setattr(cli, "_confirm", lambda query, entry, mode: True)
+    monkeypatch.setattr(cli, "confirm", lambda query, entry, mode, max_steps: True)
     path = write(tmp_path, INDEX_FILE, "index.hou")
     rc, out, err = run_cli(capsys, ["index", path, "--verify"])
     assert rc == 3

@@ -16,13 +16,14 @@ from hounif import bindings, engine, normalize, oracles
 from hounif.engine import (
     EngineConfig,
     Limits,
+    confirm,
     prepare,
     solve,
     step,
     verify_unifier,
 )
 from hounif.errors import TypeMismatch
-from hounif.problem_io import parse_problem
+from hounif.problem_io import parse_index, parse_problem
 from hounif.subst import FreshSupply, Substitution, TriangularSubst
 from hounif.terms import (
     App,
@@ -1341,3 +1342,43 @@ def test_verify_unifier_rejects_wrong_substitution():
     F = Free(0, I)
     assert not verify_unifier([(F, a)], Substitution(((F, b),)))
     assert verify_unifier([(F, a)], Substitution(((F, a),)))
+
+
+# ------------------------------------------------------------ confirmation
+
+
+def test_confirm_freezes_to_a_name_no_input_can_write():
+    # the query names a constant `frozen_0`, and no instance of `f frozen_0`
+    # is `f X`
+    ix = parse_index((pathlib.Path(__file__).parent / "data" / "frozen_name.hou").read_text())
+    ((mode, query),) = ix.queries
+    assert confirm(query, ix.entries[0], mode, max_steps=20_000) is False
+
+
+def test_confirm_renames_the_entry_apart_from_the_query():
+    # a renamed copy whose ids are the entry's, swapped: g (f Y) X against
+    # g (f X) Y, each way
+    X, Y = Free(5, I), Free(6, I)
+    entry = mk_app(g, [App(f, X), Y])
+    query = mk_app(g, [App(f, Y), X])
+    assert confirm(query, entry, "unif", max_steps=300) is True
+    assert confirm(query, entry, "match", max_steps=300) is True
+    # g X a and g b X unify only once X is renamed apart; g b X is no
+    # instance of g X a
+    query, entry = mk_app(g, [X, a]), mk_app(g, [b, X])
+    assert confirm(query, entry, "unif", max_steps=300) is True
+    assert confirm(query, entry, "match", max_steps=300) is False
+
+
+def test_confirm_rejects_unequal_types():
+    for mode in ("unif", "match"):
+        assert confirm(Free(0, I), Free(1, II), mode, max_steps=300) is False
+        assert confirm(f, a, mode, max_steps=300) is False
+
+
+def test_confirm_is_undecided_at_a_budget_stop():
+    X = Free(0, I)
+    assert confirm(hpow(20, X), hpow(20, a), "unif", max_steps=5) is None
+    assert confirm(hpow(20, X), hpow(20, a), "unif", max_steps=300) is True
+    assert confirm(hpow(20, X), hpow(20, b), "match", max_steps=300) is True
+    assert confirm(hpow(20, a), hpow(20, b), "unif", max_steps=300) is False

@@ -473,6 +473,24 @@ def test_populated_index_survives_pickling():
         assert copy.retrieve_matching(q) == index.retrieve_matching(q)
 
 
+def test_one_position_index_survives_pickling():
+    # one position is picked by a module-level function, not a lambda
+    rng = random.Random(32)
+    index = FingerprintIndex(((1,),))
+    for i in range(100):
+        frees = make_frees(rng, 2, start=0)
+        index.insert(i, gen_sized(rng, rand_type(rng), mode="any", frees=frees, max_size=8))
+    copy = pickle.loads(pickle.dumps(index))
+    answered = 0
+    for _ in range(40):
+        frees = make_frees(rng, 2, start=0)
+        q = gen_sized(rng, rand_type(rng), mode="any", frees=frees, max_size=8)
+        assert copy.retrieve_unifiable(q) == index.retrieve_unifiable(q)
+        assert copy.retrieve_matching(q) == index.retrieve_matching(q)
+        answered += bool(index.retrieve_unifiable(q))
+    assert answered
+
+
 # -------------------------------------------------------------- positions
 
 

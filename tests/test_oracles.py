@@ -19,6 +19,7 @@ from hounif.oracles import (
     NotApplicable,
     NotUnifiable,
     Success,
+    binders_in_order,
     eta_bound_index,
     fixpoint,
     pattern,
@@ -37,6 +38,8 @@ from hounif.terms import (
     arrow,
     mk_app,
     mk_lams,
+    spine,
+    strip_lams,
 )
 
 a = Const("a", I)
@@ -417,3 +420,18 @@ def test_deep_flex_rigid_pairs_end_with_a_status():
         assert st.unifiers(max_pulls=10_000) == [] and st.status == "budget"
     st = solve([(F, occurs)], EngineConfig(oracles=("fixpoint",), max_steps=50))
     assert st.unifiers(max_pulls=10_000) == [] and st.status == "budget"
+
+
+@pytest.mark.parametrize("k", [1_000, 3_000])
+def test_flex_flex_pair_of_high_order_ends_in_a_budget_stop(k):
+    # F, G : tau_k, where tau_0 = i and tau_k = tau_(k-1) -> i.  The
+    # eta-long binders nest one level per order, and the oracles read them
+    # from an explicit stack; the MGU's image is higher than the engine's
+    # image depth cap, so the stream stops with a status
+    ty = I
+    for _ in range(k):
+        ty = arrow([ty], I)
+    tys, body = strip_lams(canonical(Free(0, ty)))
+    assert binders_in_order(spine(body)[1], len(tys))
+    st = solve([(Free(0, ty), Free(1, ty))])
+    assert st.unifiers(limit=1) == [] and st.status == "budget"

@@ -385,6 +385,25 @@ def test_arrow_hash_equality_and_repr_along_5000_arguments():
     assert Const("g", ty) == Const("g", same)
 
 
+def test_arrow_repr_of_high_order_types():
+    # at the default recursion limit: tau_3000, tau_k = tau_(k-1) > i,
+    # nests its domains 3000 deep
+    ty = I
+    for _ in range(3000):
+        ty = Arrow(ty, I)
+    assert repr(ty) == "(" * 2999 + "i>i" + ")>i" * 2999
+    pins = [
+        (I, "i"),
+        (II, "i>i"),
+        (III, "i>i>i"),
+        (arrow([II], I), "(i>i)>i"),
+        (arrow([II, II], II), "(i>i)>(i>i)>i>i"),
+        (arrow([arrow([II], I)], Base("o")), "((i>i)>i)>o"),
+    ]
+    for ty, want in pins:
+        assert repr(ty) == want
+
+
 def test_arrow_pickles_its_fields_only():
     # types pickle through their constructor with their fields only, no
     # stored hash: a process with another string-hash seed pickles a type
