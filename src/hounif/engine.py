@@ -17,16 +17,17 @@ One step applies the first applicable transition, in this order:
     cutoff, and finally decompose and/or branch on bindings.
 
 `_transition` is the one place that decides which transition applies;
-`step` applies it.  It reads each side's binder prefix, head and arguments
-from the constraint's views, which copies of the constraint share (see
-`Constraint`).  A branch point's children come from one generator,
-`_children`, which charges each child's rule before building it.  Both
-variants draw their bindings from one generator, `_candidates`; the
-pragmatic variant takes a finite subset on flex-flex pairs and keeps the
-bindings within its per-constraint limits.  When the limits drop every
-binding, its cutoff solves a flex-flex pair by a shared fresh head and
-fails a flex-rigid one.  The signature types that iteration bindings
-range over are computed when the first of them is built.
+`step` applies it and returns the successor.  It reads each side's
+binder prefix, head and arguments from the constraint's views, which
+copies of the constraint share (see `Constraint`).  A branch point's
+children come from one generator, `_children`, which charges each
+child's rule before building it.  Both variants draw their bindings from
+one generator, `_candidates`; the pragmatic variant takes a finite subset
+on flex-flex pairs and keeps the bindings within its per-constraint
+limits.  When the limits drop every binding, its cutoff solves a
+flex-flex pair by a shared fresh head and fails a flex-rigid one.  The
+signature types that iteration bindings range over are computed when
+the first of them is built.
 
 Terms are never normalized beyond what head classification needs.  An
 image a binding touched is kept beta-normal by hereditary substitution,
@@ -150,8 +151,8 @@ class Constraint:
     """An unordered pair of terms of equal type; `seq` is the insertion
     sequence number used to break selection ties.
 
-    Constraints, states and step results are `__slots__` records filled
-    by plain assignment; nothing changes them after construction.  The
+    Constraints and states are `__slots__` records filled by plain
+    assignment; nothing changes them after construction.  The
     engine tells constraints apart by identity only.  A constraint also
     holds its sides' views (see `_view`) in `lview` and `rview`.  A
     side's view is taken once, where the side first enters a constraint,
@@ -226,25 +227,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown variant {self.variant!r}: expected 'complete' or 'pragmatic'"
             )
-
-
-# ------------------------------------------------------------ step results
-
-
-class StepResult:
-    """What one step did: the `rule` it applied, and either the `solution`
-    (a solved state's substitution) or the `states` it leads to.  Those
-    are a tuple of the one next state of a deterministic transition, a
-    lazy iterator of a branch point's children, or empty when the step
-    failed."""
-
-    __slots__ = ("rule", "solution", "states")
-
-    def __init__(self, rule: str, solution: Optional[TriangularSubst] = None,
-                 states: Iterable[UnifState] = ()):
-        self.rule = rule
-        self.solution = solution
-        self.states = states
 
 
 class Search:
@@ -613,27 +595,29 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     return "branch", c, (flex_l and flex_r and hs.id == ht.id, bindings)
 
 
-def step(state: UnifState, search: Search) -> StepResult:
-    """Apply the first applicable transition (charging the budget); for a
-    branch point, return lazily materialized children."""
+def step(
+    state: UnifState, search: Search
+) -> UnifState | TriangularSubst | Iterator[UnifState] | None:
+    """Apply the first applicable transition (charging the budget) and
+    return its successor: the solved state's substitution for `succeed`,
+    the next state of a deterministic transition, a lazy generator of a
+    branch point's or an oracle's children, or None when the step fails."""
     rule, c, payload = _transition(state, search)
     if rule == "branch":
-        return StepResult(rule, None, _children(c, state, search, *payload))
+        return _children(c, state, search, *payload)
     if rule == "oracle_succ":
-        edges = [(rho, None) for rho in payload]
-        return StepResult(rule, None, _children(c, state, search, False, edges))
+        return _children(c, state, search, False, [(rho, None) for rho in payload])
 
     search.charge(rule)  # `_explore` steps a state only with a step left
     if rule == "succeed":
-        return StepResult(rule, state.subst)
+        return state.subst
     if rule in ("fail", "oracle_fail"):
-        return StepResult(rule)
+        return None
     if rule == "delete":
         constraints = state.without(c)
     else:  # a rewritten constraint replaces the selected one
         constraints = tuple([payload if x is c else x for x in state.constraints])
-    child = UnifState(constraints, state.subst, state.next_seq)
-    return StepResult(rule, None, (child,))
+    return UnifState(constraints, state.subst, state.next_seq)
 
 
 def _children(
@@ -757,19 +741,13 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
             spent = 0
             while True:
                 try:
-                    res = step(task, search)
+                    nxt = step(task, search)
                 except Overgrown:  # a lazily resolved image overgrew
                     search.budget_hit = True
                     break
                 spent += 1
-                if res.solution is not None:
-                    yield res.solution.restrict(search.problem_ids)
-                    break
-                states = res.states
-                if not states:  # the step failed
-                    break
-                if type(states) is tuple:
-                    task = states[0]
+                if type(nxt) is UnifState:
+                    task = nxt
                     if spent >= _PACING:
                         agenda.append(task)
                         break
@@ -777,7 +755,10 @@ def _explore(root: UnifState, search: Search) -> Iterator[Optional[Substitution]
                         search.budget_hit = True
                         return
                     continue
-                agenda.append(states)
+                if type(nxt) is TriangularSubst:
+                    yield nxt.restrict(search.problem_ids)
+                elif nxt is not None:  # a branch point's children
+                    agenda.append(nxt)
                 break
             pending += spent
         else:

@@ -114,9 +114,6 @@ class Substitution:
         )
 
 
-IDENTITY = Substitution()
-
-
 def compose(outer: Substitution, inner: Substitution, fuel: Optional[Fuel] = None) -> Substitution:
     """The substitution taking t to outer(inner(t)).
 
@@ -156,7 +153,8 @@ class TriangularSubst:
     up to the nearest node that knows the variable and back down through
     each rho that touches the image.  Every node passed on the way memoizes
     the result, so descendants and siblings reuse it; an unbound variable
-    is memoized as None.
+    is memoized as None.  A node keeps rho only as its images, by variable
+    id, and resolves through them alone.
 
     Images stay beta-normal: a node keeps an image of its rho that passes
     `check_image` as it is, and normalizes any other by the hereditary
@@ -167,12 +165,11 @@ class TriangularSubst:
     needs more than that fuel, raises Overgrown.
     """
 
-    __slots__ = ("parent", "rho", "top", "guard", "_memo", "_images")
+    __slots__ = ("parent", "top", "guard", "_memo", "_images")
 
-    def __init__(self, parent: Optional["TriangularSubst"], rho: Substitution,
-                 top: int, guard: tuple[int, int, int]):
+    def __init__(self, parent: Optional["TriangularSubst"], top: int,
+                 guard: tuple[int, int, int]):
         self.parent = parent
-        self.rho = rho
         #: no variable with a larger id is bound in this chain
         self.top = top
         #: (max image size, reduction fuel per resolution, max image depth)
@@ -187,7 +184,7 @@ class TriangularSubst:
         """The empty substitution; resolved images may have at most
         max_size nodes, a height of at most max_depth, and cost at most
         `fuel` reduction units each."""
-        return cls(None, IDENTITY, -1, (max_size, fuel, max_depth))
+        return cls(None, -1, (max_size, fuel, max_depth))
 
     def extend(self, rho: Substitution) -> "TriangularSubst":
         """The child node applying rho after this substitution.  Nothing
@@ -209,7 +206,7 @@ class TriangularSubst:
             entries.append((var, image, walk := check_image(image, var.ty, fuel)))
             if walk is None and (it := type_of(image)) is not var.ty:
                 raise IllTyped(f"image of {var!r} has type {it!r}, expected {var.ty!r}")
-        node = TriangularSubst(self, rho, max(self.top, max(dom, default=-1)), self.guard)
+        node = TriangularSubst(self, max(self.top, max(dom, default=-1)), self.guard)
         overgrown = False
         for var, image, walk in entries:
             if walk is None:

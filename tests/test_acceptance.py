@@ -20,7 +20,7 @@ from termgen import (
     make_frees,
     subst_key,
 )
-from hounif.engine import EngineConfig, confirm, prepare, solve, step, verify_unifier
+from hounif.engine import EngineConfig, UnifState, confirm, prepare, solve, step, verify_unifier
 from hounif.fingerprint import DEFAULT_POSITIONS, FingerprintIndex, N, Sym, fp_ho
 from hounif.normalize import Fuel, canonical
 from hounif.oracles import NotApplicable, NotUnifiable, Success
@@ -66,11 +66,8 @@ def drive_to_branch(state, search, max_steps=10_000):
         ) or (first == "decompose" and rules == ["decompose"])
         if not deterministic:
             return state, first if first in ("succeed", "fail") else "branch"
-        res = step(state, search)
-        if isinstance(res.states, tuple):
-            (state,) = res.states
-        else:
-            state = next(iter(res.states))
+        nxt = step(state, search)
+        state = nxt if type(nxt) is UnifState else next(nxt)  # a decompose's one child
     raise AssertionError("no branch point reached")
 
 

@@ -360,6 +360,17 @@ def test_index_verify_reports_retrieval_miss(tmp_path, capsys, monkeypatch):
     assert "retrieval missed" in err
 
 
+def test_solve_verify_reports_a_failed_unifier(tmp_path, capsys, monkeypatch):
+    # a unifier that fails verification is an internal error: exit 3,
+    # and the unifier is not printed
+    monkeypatch.setattr(cli, "verify_unifier", lambda pairs, subst: False)
+    path = write(tmp_path, TWO_UNIFIER_PROBLEM)
+    rc, out, err = run_cli(capsys, ["solve", path, "--verify"])
+    assert rc == 3
+    assert err == "internal error: emitted substitution failed verification\n"
+    assert "unifier 1:" not in out
+
+
 def test_index_positions_override(tmp_path, capsys):
     text = (
         "tp i.\n"

@@ -7,6 +7,7 @@ import itertools
 import pathlib
 import random
 import sys
+import types
 
 import pytest
 
@@ -16,6 +17,7 @@ from hounif import bindings, engine, normalize, oracles
 from hounif.engine import (
     EngineConfig,
     Limits,
+    UnifState,
     confirm,
     prepare,
     solve,
@@ -89,11 +91,8 @@ def drive_to_branch(state, search, max_steps=10_000):
         ) or (first == "decompose" and rules == ["decompose"])
         if not deterministic:
             return state, first if first in ("succeed", "fail") else "branch"
-        res = step(state, search)
-        if isinstance(res.states, tuple):
-            (state,) = res.states
-        else:
-            state = next(iter(res.states))
+        nxt = step(state, search)
+        state = nxt if type(nxt) is UnifState else next(nxt)  # a decompose's one child
     raise AssertionError("no branch point reached")
 
 
@@ -428,42 +427,51 @@ def test_swapping_sides_changes_nothing():
 # ------------------------------------------------------- rule precedence
 
 
-def _expected_step_rules(names):
-    """Map applicable_rules output to the rule names step() may report."""
-    if not names:
-        return {"branch"}
-    first = names[0]
-    if first == "oracle":
-        return {"oracle_succ", "oracle_fail"}
-    if first in ("decompose", "bind"):
-        return {"branch"}
-    return {first}
-
-
 def _reachable_steps(state, search, max_visits):
     """Walk the states reachable from `state` (at most `max_visits`, and
-    four children per branch point), yielding each state with the rules
-    applicable_rules() names at it and the result of step() on it."""
+    four children per branch point), yielding each state with the
+    transition `_transition` names at it and the successor step() returns."""
     todo = [state]
     visited = 0
     while todo and visited < max_visits:
         st = todo.pop()
         visited += 1
-        names = applicable_rules(st, search)
-        res = step(st, search)
-        yield st, names, res
-        if isinstance(res.states, tuple):
-            todo.extend(res.states)
-        else:
-            todo.extend(itertools.islice(res.states, 4))
+        transition = engine._transition(st, search)
+        nxt = step(st, search)
+        yield st, transition, nxt
+        if type(nxt) is UnifState:
+            todo.append(nxt)
+        elif isinstance(nxt, types.GeneratorType):
+            todo.extend(itertools.islice(nxt, 4))
+
+
+def _sides(constraints):
+    return [(c.lhs, c.rhs, c.seq, c.counters) for c in constraints]
 
 
 def _assert_step_applies_first_rule(state, search, max_visits):
-    """Check at each state reachable from `state` that step() applies the
-    first transition applicable_rules() names."""
-    for _, names, res in _reachable_steps(state, search, max_visits):
-        expected = _expected_step_rules(names)
-        assert res.rule in expected, (res.rule, expected)
+    """Check at each state reachable from `state` that step() returns the
+    successor of the transition `_transition` names: for delete, the state
+    without the selected constraint; for a rewrite, the state with it
+    replaced by the payload; for succeed, the state's substitution; for a
+    failure, None; for a branch point or an oracle's unifiers, a generator
+    of children.  Returns the rules met."""
+    seen = set()
+    for st, (rule, c, payload), nxt in _reachable_steps(state, search, max_visits):
+        seen.add(rule)
+        if rule == "succeed":
+            assert nxt is st.subst
+        elif rule in ("fail", "oracle_fail"):
+            assert nxt is None, rule
+        elif rule in ("branch", "oracle_succ"):
+            assert isinstance(nxt, types.GeneratorType), rule
+        else:
+            want = st.without(c) if rule == "delete" else [
+                payload if x is c else x for x in st.constraints
+            ]
+            assert type(nxt) is UnifState and _sides(nxt.constraints) == _sides(want), rule
+            assert nxt.subst is st.subst and nxt.next_seq == st.next_seq
+    return seen
 
 
 PRECEDENCE_CONFIGS = (
@@ -478,12 +486,17 @@ def test_rule_precedence_instrumented():
     """step() always applies the first applicable transition in the fixed
     precedence order, across a random sample of reachable states."""
     rng = random.Random(41)
+    seen = set()
     for trial in range(40):
         frees = make_frees(rng, 3, 10)
         pairs = [gen_pair(rng, mode="any", frees_l=frees, max_size=7)]
         cfg = PRECEDENCE_CONFIGS[trial % len(PRECEDENCE_CONFIGS)]
         state, search = prepare(pairs, cfg)
-        _assert_step_applies_first_rule(state, search, 120)
+        seen |= _assert_step_applies_first_rule(state, search, 120)
+    assert seen == {
+        "succeed", "normalize_eta", "normalize_beta", "dereference", "fail", "delete",
+        "oracle_succ", "oracle_fail", "branch",
+    }, seen
 
 
 def _side_view(t):
@@ -528,9 +541,8 @@ def test_bound_child_shares_the_views_of_its_constraint():
     F = Free(0, II)
     state, search = prepare([(App(F, a), App(f, a))], NO_ORACLES)
     (c,) = state.constraints
-    res = step(state, search)
-    assert res.rule == "branch"
-    child = next(res.states)
+    assert engine._transition(state, search)[0] == "branch"
+    child = next(step(state, search))
     (bumped,) = child.constraints
     assert bumped.counters.total == 1
     assert (bumped.lhs, bumped.rhs, bumped.seq) == (c.lhs, c.rhs, c.seq)
@@ -613,9 +625,8 @@ def test_view_equals_strip_lams_then_spine():
 
 def _decomposition(pair):
     state, search = prepare([pair], NO_ORACLES)
-    res = step(state, search)
-    assert res.rule == "branch"
-    return next(res.states).constraints
+    assert engine._transition(state, search)[0] == "branch"
+    return next(step(state, search)).constraints
 
 
 def test_binder_free_decomposition_children_are_the_arguments():
@@ -688,7 +699,7 @@ def test_decompose_requires_equal_heads():
     state, search = prepare([(App(F, a), App(f, b))], NO_ORACLES)
     state, label = drive_to_branch(state, search)
     assert label == "branch"
-    list(itertools.islice(step(state, search).states, 10))  # all children
+    list(itertools.islice(step(state, search), 10))  # all children
     assert "decompose" not in search.stats
     assert any(k.startswith("bind_") for k in search.stats)
 
@@ -700,7 +711,7 @@ def test_decompose_requires_equal_heads():
     # flex-flex with the same head: decompose is among the edges
     state, search = prepare([(App(F, a), App(F, b))], NO_ORACLES)
     state, label = drive_to_branch(state, search)
-    list(itertools.islice(step(state, search).states, 10))
+    list(itertools.islice(step(state, search), 10))
     assert search.stats.get("decompose") == 1
 
 
@@ -708,8 +719,8 @@ def test_delete_precedes_branching():
     F = Free(0, II)
     t = App(F, a)
     state, search = prepare([(t, t)], NO_ORACLES)
-    res = step(state, search)
-    assert res.rule == "delete"
+    assert engine._transition(state, search)[0] == "delete"
+    assert step(state, search).constraints == ()
     assert "bind_identification" not in search.stats
 
 
@@ -1222,8 +1233,8 @@ def test_selection_orders_rigid_pairs_first():
         (App(f, a), App(f, a)),  # rigid-rigid, deletable
     ]
     state, search = prepare(pairs, NO_ORACLES)
-    res = step(state, search)
-    assert res.rule == "delete"  # the rigid pair went first
+    assert engine._transition(state, search)[0] == "delete"  # the rigid pair went first
+    assert step(state, search).constraints == state.constraints[:1]
 
 
 def test_determinism_run_twice():
@@ -1268,11 +1279,11 @@ def _assert_triangular_well_formed(subst):
     domain = []
     node = subst
     while node.parent is not None:
-        for var, image in node.rho.items():
-            domain.append(var.id)
-            assert node.parent.image_of(var.id) is None
+        for var_id, (image, *_) in node._images.items():
+            domain.append(var_id)
+            assert node.parent.image_of(var_id) is None
             assert all(node.parent.image_of(i) is None for i in free_vars(image))
-            assert not free_vars(image).keys() & {v.id for v in node.rho.domain()}
+            assert not free_vars(image).keys() & node._images.keys()
         node = node.parent
     resolved = subst.restrict(domain)
     assert len(resolved) == len(domain)
@@ -1291,11 +1302,11 @@ def test_intermediate_substitutions_idempotent():
             st = todo.pop()
             visited += 1
             _assert_triangular_well_formed(st.subst)
-            res = step(st, search)
-            if isinstance(res.states, tuple):
-                todo.extend(res.states)
-            else:
-                todo.extend(itertools.islice(res.states, 3))
+            nxt = step(st, search)
+            if type(nxt) is UnifState:
+                todo.append(nxt)
+            elif isinstance(nxt, types.GeneratorType):
+                todo.extend(itertools.islice(nxt, 3))
 
 
 def test_fresh_hygiene():

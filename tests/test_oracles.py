@@ -315,16 +315,29 @@ def test_solid_matching_enumerates_both_matchers():
 
 
 def test_solid_same_head_shared_variable_mgu():
+    # the sides share only their head F, so F keeps the arguments where
+    # they agree: F -> \x y. Z y.  No argument is a bound variable and no
+    # side a variable, so pattern and fixpoint abstain and the engine
+    # takes the unifier in one oracle step
     F = Free(0, III)
-    lhs = mk_app(F, [a, b])
-    rhs = mk_app(F, [b, b])
-    v = solid_oracle(lhs, rhs, ctx())
-    assert isinstance(v, Success) and len(v.csu) == 1
-    sigma = v.csu[0]
-    assert_verifies([(lhs, rhs)], sigma)
     Z = Free(800, II)
-    expected = Substitution(((F, mk_lams([I, I], App(Z, Bound(0, I)))),))
-    assert subst_key(sigma, [F]) == subst_key(expected, [F])
+    expected = subst_key(Substitution(((F, mk_lams([I, I], App(Z, Bound(0, I)))),)), [F])
+    for lhs, rhs in [
+        (mk_app(F, [a, b]), mk_app(F, [b, b])),
+        (mk_app(F, [a, App(f, a)]), mk_app(F, [b, App(f, a)])),
+    ]:
+        assert isinstance(pattern_oracle(lhs, rhs, ctx()), NotApplicable)
+        assert isinstance(fixpoint_oracle(lhs, rhs, ctx()), NotApplicable)
+        v = solid_oracle(lhs, rhs, ctx())
+        assert isinstance(v, Success) and len(v.csu) == 1
+        sigma = v.csu[0]
+        assert_verifies([(lhs, rhs)], sigma)
+        assert subst_key(sigma, [F]) == expected
+
+        stream = solve([(lhs, rhs)], EngineConfig())
+        assert [subst_key(s, [F]) for s in stream.unifiers()] == [expected]
+        assert stream.status == "exhausted"
+        assert list(stream.stats.items()) == [("oracle_succ", 1), ("succeed", 1)]
 
 
 def test_solid_not_applicable_on_shared_variable_divergence():

@@ -92,6 +92,8 @@ def test_beta_redex_input_is_accepted():
         "tp i. @",  # stray character
         "tp i. const a-b : i.",  # '-' outside the query keywords
         "tp i. term: a.",  # index declaration in a problem file
+        "tp i. var F : .",  # expected a type
+        "tp i. const a : i. unify: =?= a.",  # expected a term
     ],
 )
 def test_parse_errors(text):

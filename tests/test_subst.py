@@ -12,7 +12,6 @@ from hounif import bindings, subst
 from hounif.errors import IdempotenceViolation, IllTyped
 from hounif.normalize import Fuel, beta_normal, canonical, hereditary
 from hounif.subst import (
-    IDENTITY,
     FreshSupply,
     Overgrown,
     Substitution,
@@ -63,7 +62,7 @@ def test_apply_golden():
     # beta-normalizing contracts the redex; no capture is possible (closed image)
     assert beta_normal(sigma.apply(t)) == Lam(I, mk_app(g, [Bound(0, I), a]))
     assert sigma.apply(a) == a
-    assert IDENTITY.apply(t) is t
+    assert Substitution().apply(t) is t
     # unmapped subterms come back as the same objects, at any depth
     fa = App(f, a)
     u = mk_app(g, [fa, App(F, a)])
@@ -471,7 +470,7 @@ def test_substitutions_are_values():
     assert one != Substitution(((F, a),))
     assert one != Substitution(((F, Const("b", I)), (G, f)))
     assert one != {1: a, 2: f}
-    assert one and not IDENTITY and not Substitution()
+    assert one and not Substitution()
 
 
 def test_fresh_supply_monotone_and_reserving():
