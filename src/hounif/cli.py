@@ -50,17 +50,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="enumerate unifiers for a problem file")
     ps.add_argument("file")
-    ps.add_argument("--variant", choices=("complete", "pragmatic"), default="complete")
+    default = EngineConfig()
+    ps.add_argument("--variant", choices=("complete", "pragmatic"), default=default.variant)
     ps.add_argument(
         "--oracles",
-        default="pattern,fixpoint,solid",
+        default=",".join(default.oracles),
         help="comma-separated oracle names; empty string disables all",
     )
-    default_limits = ",".join(map(str, Limits()))
+    default_limits = ",".join(map(str, default.limits))
     ps.add_argument("--limits", default=default_limits,
                     help=f"pragmatic limits TOTAL,FP,EL,IM,ID (default {default_limits})")
     ps.add_argument("--max-unifiers", type=count, default=None)
-    ps.add_argument("--max-steps", type=count, default=100_000)
+    ps.add_argument("--max-steps", type=count, default=default.max_steps)
     ps.add_argument("--timeout-ms", type=count, default=None)
     ps.add_argument("--verify", action="store_true",
                     help="re-check every unifier before printing it")

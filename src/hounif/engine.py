@@ -32,10 +32,10 @@ the first of them is built.
 Terms are never normalized beyond what head classification needs.  An
 image a binding touched is kept beta-normal by hereditary substitution,
 which contracts only the redexes the binding creates.  Full
-normalization happens once per oracle phase, when the selected
-constraint's sides are resolved and canonicalized for all the oracles
-on one explicit `Fuel` meter (each oracle then gets a meter of what is
-left), and when verifying a result.
+normalization happens once per oracle phase (`consult`), when the
+selected constraint's sides are resolved and canonicalized for all the
+oracles on one explicit `Fuel` meter (each oracle then gets a meter of
+what is left), and when verifying a result.
 Search trees are enumerated fairly: every branch point dovetails its
 children, and long deterministic stretches emit pacing markers so that
 siblings keep getting probed.  The solver therefore yields a stream of
@@ -48,7 +48,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import oracles as _oracles
 from .bindings import (
@@ -62,7 +62,7 @@ from .bindings import (
 )
 from .errors import InternalError, TypeMismatch
 from .normalize import Fuel, ReductionBudget, canonical, eta_expand_prefix, hnf
-from .oracles import NotApplicable, NotUnifiable, Success
+from .oracles import NotApplicable, NotUnifiable, OracleFn, Success, Verdict
 from .subst import FreshSupply, Overgrown, Substitution, TriangularSubst
 from .subst import compose  # noqa: F401  (perfbench/tracer.py wraps engine.compose)
 from .terms import (
@@ -87,6 +87,7 @@ from .terms import (
     term_key,  # noqa: F401  (perfbench/tracer.py wraps engine.term_key)
     term_order,
     type_of,
+    view,
 )
 
 # ------------------------------------------------------------- constraints
@@ -134,19 +135,6 @@ class Limits(NamedTuple):
 NO_BINDINGS = Limits(0, 0, 0, 0, 0)
 
 
-def _view(t: Term) -> tuple[list[Type], Term, list[Term]]:
-    """(binder types, head, arguments) of t, as `strip_lams` and `spine` give them."""
-    tys, args = [], []
-    while type(t) is Lam:
-        tys.append(t.binder)
-        t = t.body
-    while type(t) is App:
-        args.append(t.arg)
-        t = t.fn
-    args.reverse()
-    return tys, t, args
-
-
 class Constraint:
     """An unordered pair of terms of equal type; `seq` is the insertion
     sequence number used to break selection ties.
@@ -154,7 +142,7 @@ class Constraint:
     Constraints and states are `__slots__` records filled by plain
     assignment; nothing changes them after construction.  The
     engine tells constraints apart by identity only.  A constraint also
-    holds its sides' views (see `_view`) in `lview` and `rview`.  A
+    holds its sides' views (see `terms.view`) in `lview` and `rview`.  A
     side's view is taken once, where the side first enters a constraint,
     and every copy that keeps the side shares it: `make`'s reoriented
     pair swaps the views, `with_sides` keeps the view of a side passed
@@ -176,8 +164,8 @@ class Constraint:
         self.rhs = rhs
         self.seq = seq
         self.counters = counters
-        self.lview = _view(lhs) if lview is None else lview
-        self.rview = _view(rhs) if rview is None else rview
+        self.lview = view(lhs) if lview is None else lview
+        self.rview = view(rhs) if rview is None else rview
 
     @staticmethod
     def make(s: Term, t: Term, seq: int, counters: Limits = NO_BINDINGS) -> "Constraint":
@@ -185,7 +173,7 @@ class Constraint:
         ts, tt = getattr(s, "_ty", None) or type_of(s), getattr(t, "_ty", None) or type_of(t)
         if ts is not tt:
             raise TypeMismatch(f"constraint sides differ in type: {ts!r} vs {tt!r}")
-        sv, tv = _view(s), _view(t)
+        sv, tv = view(s), view(t)
         (stys, hs, _), (ttys, ht, _) = sv, tv
         rigid = len(stys) == len(ttys) and type(hs) in (Const, Bound) and type(ht) in (Const, Bound)
         if rigid or term_order(s, t) <= 0:
@@ -242,7 +230,7 @@ class Search:
         self.steps_left = cfg.max_steps
         self.budget_hit = False
         self.stats: dict[str, int] = {}
-        self.oracle_fns: list[tuple[str, Callable]] = [
+        self.oracle_fns: list[tuple[str, OracleFn]] = [
             (name, _oracles.resolve(name)) for name in cfg.oracles
         ]
 
@@ -380,9 +368,9 @@ def _binding_delta(b: Binding) -> Limits:
             return Limits(1, 0, 0, 0, 1)
         case "elimination":
             F, image = b.entries[0]
-            return Limits(1, 0, F.ty.arity - len(_view(image)[2]), 0, 0)
+            return Limits(1, 0, F.ty.arity - len(view(image)[2]), 0, 0)
         case "huet_projection":
-            if _view(b.entries[0][1])[2]:
+            if view(b.entries[0][1])[2]:
                 return Limits(1, 1, 0, 0, 0)
             return NO_BINDINGS  # base-type projection: shrinks the problem
         case "jp_projection":
@@ -498,6 +486,35 @@ def _decomposed(c: Constraint, state: UnifState) -> UnifState:
     return UnifState(tuple(rest + children), state.subst, seq)
 
 
+def consult(s: Term, t: Term, subst, supply: FreshSupply, oracle_fns: list) -> Verdict:
+    """The oracle phase on s =?= t under `subst`: the first verdict other
+    than NotApplicable of the (name, oracle) pairs `oracle_fns`, in order.
+    Oversized sides skip the phase (oracles normalize eagerly).  Both sides
+    are resolved and canonicalized once, on the phase's fuel; each oracle
+    gets a meter of what that leaves, and one that runs out falls through.
+    An empty Success or a non-verdict is an oracle's defect."""
+    cap = _ORACLE_SIZE_CAP
+    if not (oracle_fns and size_within(s, cap) and size_within(t, cap)):
+        return NotApplicable()
+    phase = Fuel(_FUEL_FACTOR * cap)
+    try:
+        cs, ct = canonical(subst.apply(s), phase), canonical(subst.apply(t), phase)
+    except ReductionBudget:
+        return NotApplicable()  # too expensive to decide, for every oracle alike
+    for name, fn in oracle_fns:
+        try:
+            verdict = fn(cs, ct, supply, Fuel(phase.left))
+        except ReductionBudget:
+            continue  # too expensive to decide
+        match verdict:
+            case NotApplicable():
+                continue
+            case NotUnifiable() | Success(csu=[_, *_]):
+                return verdict
+        raise InternalError(f"oracle {name} returned {verdict!r}")
+    return NotApplicable()
+
+
 def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constraint], object]:
     """The first applicable transition at `state`, in the fixed precedence
     order, as (rule, selected constraint, payload).  Charges nothing.
@@ -552,33 +569,11 @@ def _transition(state: UnifState, search: Search) -> tuple[str, Optional[Constra
     if s == t:
         return "delete", c, None
 
-    # oracle phase: the first oracle with an opinion wins (oversized
-    # constraints skip it; oracles normalize eagerly).  Both sides are
-    # resolved and canonicalized once, on the phase's fuel; each oracle
-    # then gets a meter of what that leaves, as if it had canonicalized
-    # them itself.
-    cap = _ORACLE_SIZE_CAP
-    if search.oracle_fns and size_within(s, cap) and size_within(t, cap):
-        phase = Fuel(_FUEL_FACTOR * cap)
-        try:
-            cs, ct = canonical(subst.apply(s), phase), canonical(subst.apply(t), phase)
-        except ReductionBudget:
-            pass  # too expensive to decide, for every oracle alike
-        else:
-            for name, fn in search.oracle_fns:
-                try:
-                    verdict = fn(cs, ct, search.supply, Fuel(phase.left))
-                except ReductionBudget:
-                    continue  # too expensive to decide; fall through to branching
-                match verdict:
-                    case Success(csu=csu):
-                        return ("oracle_succ" if csu else "oracle_fail"), c, csu
-                    case NotUnifiable():
-                        return "oracle_fail", c, None
-                    case NotApplicable():
-                        continue
-                    case _:
-                        raise InternalError(f"oracle {name} returned {verdict!r}")
+    match consult(s, t, subst, search.supply, search.oracle_fns):
+        case Success(csu=csu):
+            return "oracle_succ", c, csu
+        case NotUnifiable():
+            return "oracle_fail", c, None
 
     F, other = (hs, ht) if flex_l else (ht, hs)
     bindings = ((b, _binding_delta(b)) for b in _candidates(F, other, search) if b is not None)

@@ -58,9 +58,8 @@ from .terms import (
     Lam,
     Term,
     arg_types,
-    spine,
-    strip_lams,
     type_of,
+    view,
 )
 
 # ----------------------------------------------------------------- features
@@ -122,8 +121,7 @@ def encode(t: Term) -> FOTerm:
 
 
 def _encode(t: Term) -> FOTerm:
-    _, body = strip_lams(t)
-    head, args = spine(body)
+    _, head, args = view(t)
     if isinstance(head, Free):
         return _FOVAR
     sym = head.index if isinstance(head, Bound) else head.name

@@ -62,9 +62,11 @@ def hnf(t: Term) -> Term:
     """Reduce the leftmost outermost redex until the head is exposed.
 
     Arguments are left untouched; newly exposed binders are absorbed into
-    the prefix, so the result is lambda x1...xn. a t1...tm.
+    the prefix, so the result is lambda x1...xn. a t1...tm.  A t with no
+    redex at its head is returned itself.
     """
     tys, body = strip_lams(t)
+    stripped = body
     while True:
         head, args = spine(body)
         if type(head) is Lam and args:  # contract all the leading arguments
@@ -76,7 +78,7 @@ def hnf(t: Term) -> Term:
             tys.append(body.binder)
             body = body.body
         else:
-            return mk_lams(tys, body)
+            return t if body is stripped else mk_lams(tys, body)
 
 
 #: a term with its size, height and loose-index bound (one more than its

@@ -4,24 +4,24 @@ An oracle is a callable ``oracle(s, t, supply, fuel) -> verdict`` where
 the verdict is one of
 
 * ``Success(csu)`` -- the constraint lies in the oracle's fragment and
-  ``csu`` is a complete set of unifiers for it (an empty tuple means the
-  constraint is unsolvable);
+  ``csu``, never empty, is a complete set of unifiers for it;
 * ``NotUnifiable()`` -- the constraint provably has no unifier;
 * ``NotApplicable()`` -- the oracle cannot decide this constraint.
 
-The sides ``s`` and ``t`` are resolved and canonical: the engine
-applies the current substitution to a constraint and brings both sides
-to eta-long beta-normal form once per oracle phase, and every oracle of
-the phase reads the same pair.  Fresh variables come from ``supply``.
-Unlike the main solver loop, oracles are free to normalize terms fully,
-but they pass ``fuel`` (a ``normalize.Fuel`` holding what the phase's
-canonicalization left) to every ``canonical`` and ``compose`` call; an
-oracle that runs out raises ``ReductionBudget`` and the engine moves on
-to the next one.
-The registry holds the three decision procedures of this package:
-``pattern``, ``solid`` and ``fixpoint``.  The pragmatic variant's
-binding limits are not an oracle; the engine applies them when it builds
-a constraint's bindings.
+The engine calls oracles only through ``engine.consult``, which hands
+every oracle of a phase the same pair ``s``, ``t``: the constraint's
+sides with the current substitution applied, in eta-long beta-normal
+form.  Fresh variables come from ``supply``.  Unlike the main solver
+loop, oracles are free to normalize terms fully, but they pass ``fuel``
+(a ``normalize.Fuel`` holding what the phase's canonicalization left) to
+every ``canonical`` and ``compose`` call; an oracle that runs out raises
+``ReductionBudget`` and ``consult`` moves on to the next one.  An empty
+``Success`` is a defect there, as is any other return value.
+
+The registry is the table ``_REGISTRY`` of the three decision procedures
+of this package, by name: ``pattern``, ``fixpoint`` and ``solid``.  The
+pragmatic variant's binding limits are not an oracle; the engine applies
+them when it builds a constraint's bindings.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 
 from ..normalize import Fuel
 from ..subst import FreshSupply, Substitution
-from ..terms import Bound, Term, spine, strip_lams
+from ..terms import Bound, Term, view
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,6 @@ Verdict = Success | NotUnifiable | NotApplicable
 
 OracleFn = Callable[[Term, Term, FreshSupply, Fuel], Verdict]
 
-_REGISTRY: dict[str, OracleFn] = {}
-
-
-def register(name: str):
-    def deco(fn: OracleFn) -> OracleFn:
-        _REGISTRY[name] = fn
-        return fn
-
-    return deco
-
 
 def resolve(name: str) -> OracleFn:
     try:
@@ -80,9 +70,8 @@ def eta_bound_index(arg: Term) -> int | None:
     A base-type bound variable is just ``Bound(i)``; a functional one of
     arity k appears as ``\\ybar_k. x y1 ... yk``.
     """
-    tys, body = strip_lams(arg)
+    tys, head, args = view(arg)
     k = len(tys)
-    head, args = spine(body)
     if not isinstance(head, Bound) or head.index < k or not binders_in_order(args, k):
         return None
     return head.index - k
@@ -97,12 +86,17 @@ def binders_in_order(args: list[Term], n: int) -> bool:
     todo = [(a, n - 1 - i) for i, a in enumerate(args)]
     while todo:
         a, want = todo.pop()
-        tys, body = strip_lams(a)
-        head, sub = spine(body)
+        tys, head, sub = view(a)
         if type(head) is not Bound or head.index != want + len(tys) or len(sub) != len(tys):
             return False
         todo += ((s, len(tys) - 1 - j) for j, s in enumerate(sub))
     return True
 
 
-from . import fixpoint, pattern, solid  # noqa: E402,F401  (populate the registry)
+from . import fixpoint, pattern, solid  # noqa: E402
+
+_REGISTRY: dict[str, OracleFn] = {
+    "pattern": pattern.pattern_oracle,
+    "fixpoint": fixpoint.fixpoint_oracle,
+    "solid": solid.solid_oracle,
+}

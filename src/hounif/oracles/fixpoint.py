@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from ..normalize import Fuel, canonical  # noqa: F401  (perfbench/tracer.py wraps fixpoint.canonical)
 from ..subst import FreshSupply, Substitution
-from ..terms import Free, Lam, Term, spine, strip_lams
-from . import NotApplicable, NotUnifiable, Success, binders_in_order, register
+from ..terms import Free, Lam, Term, view
+from . import NotApplicable, NotUnifiable, Success, binders_in_order
 
 
 def _bare_var(t: Term) -> Free | None:
     """The free variable F if t is the eta-long form of bare F."""
-    tys, body = strip_lams(t)
-    head, args = spine(body)
+    tys, head, args = view(t)
     if not isinstance(head, Free) or not binders_in_order(args, len(tys)):
         return None
     return head
@@ -36,8 +35,7 @@ def _occurrences(t: Term, var_id: int) -> list[tuple[int, bool]]:
     stack = [(t, True)]
     while stack:
         sub, rigid_path = stack.pop()
-        tys, body = strip_lams(sub)
-        head, args = spine(body)
+        tys, head, args = view(sub)
         if isinstance(head, Free) and head.id == var_id:
             # a lambda directly above the occurrence is a prefix position
             # whose head is the variable itself, hence not rigid
@@ -49,7 +47,6 @@ def _occurrences(t: Term, var_id: int) -> list[tuple[int, bool]]:
     return out
 
 
-@register("fixpoint")
 def fixpoint_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
     if s == t:
         return Success((Substitution(),))

@@ -26,8 +26,9 @@ from ..terms import (
     spine,
     strip_lams,
     type_of,
+    view,
 )
-from . import NotApplicable, NotUnifiable, Success, eta_bound_index, register
+from . import NotApplicable, NotUnifiable, Success, eta_bound_index
 
 
 class _Clash(Exception):
@@ -46,8 +47,7 @@ def is_pattern(t: Term) -> bool:
     Expects a canonical (beta-normal eta-long) term."""
     stack = [t]
     while stack:
-        _, body = strip_lams(stack.pop())
-        head, args = spine(body)
+        _, head, args = view(stack.pop())
         if isinstance(head, Free):
             idxs = [eta_bound_index(a) for a in args]
             if None in idxs or len(set(idxs)) != len(idxs):
@@ -84,9 +84,8 @@ def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply, fue
             out.append(mk_lams(tys, mk_app(head, args)))
             continue
         u, depth = frame
-        tys, body = strip_lams(u)
+        tys, head, args = view(u)
         d = depth + len(tys)
-        head, args = spine(body)
         if isinstance(head, Bound):
             if head.index >= d:
                 r = head.index - d
@@ -199,7 +198,6 @@ def unify_patterns(pairs, supply: FreshSupply, fuel: Fuel | None = None) -> Subs
     return sigma
 
 
-@register("pattern")
 def pattern_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
     if type_of(s) != type_of(t):
         return NotApplicable()

@@ -1,7 +1,7 @@
 """Solid oracle: computes a finite complete set of unifiers for pairs
 whose free variables take only bound variables or variable-free base-type
 terms as arguments, provided the sides share no variables and one side is
-linear.
+linear, or their one variable is the head of both (whose MGU it returns).
 
 The computation follows a three-stage plan:
 
@@ -20,7 +20,7 @@ The computation follows a three-stage plan:
    fresh variable.
 3. Every resulting unifier is re-verified against the input; a mismatch
    would mean a defect in the construction, not in the input, and raises
-   InternalError.
+   InternalError.  No unifier at all is NotUnifiable, not an empty Success.
 
 The whole oracle gives up (returns NotApplicable) if a safety cap on PT
 transitions is exceeded; under the fragment's preconditions this cannot
@@ -50,8 +50,9 @@ from ..terms import (
     spine,
     strip_lams,
     type_of,
+    view,
 )
-from . import NotApplicable, Success, binders_in_order, eta_bound_index, register
+from . import NotApplicable, NotUnifiable, Success, binders_in_order, eta_bound_index
 from .pattern import same_head_mgu
 
 _CAP = 1_000_000
@@ -66,8 +67,7 @@ def is_solid(t: Term) -> bool:
     base-type terms without free variables?  Expects a canonical term."""
     stack = [t]
     while stack:
-        _, body = strip_lams(stack.pop())
-        head, args = spine(body)
+        _, head, args = view(stack.pop())
         if isinstance(head, Free):
             for a in args:
                 if eta_bound_index(a) is not None:
@@ -85,8 +85,7 @@ def is_linear(t: Term) -> bool:
     seen: set[int] = set()
     stack = [t]
     while stack:
-        _, body = strip_lams(stack.pop())
-        head, args = spine(body)
+        _, head, args = view(stack.pop())
         if isinstance(head, Free):
             if head.id in seen:
                 return False
@@ -103,8 +102,7 @@ def is_linear(t: Term) -> bool:
 
 
 def _flex_head(side: Term):
-    _, body = strip_lams(side)
-    head, args = spine(body)
+    _, head, args = view(side)
     return (head, args) if isinstance(head, Free) else None
 
 
@@ -155,10 +153,8 @@ class _PT:
                     del cs[i]
                     changed = True
                     break
-                tys, sbody = strip_lams(s)
-                _, tbody = strip_lams(t)
-                hs, sargs = spine(sbody)
-                ht, targs = spine(tbody)
+                tys, hs, sargs = view(s)
+                _, ht, targs = view(t)
                 if isinstance(hs, Free) or isinstance(ht, Free):
                     continue
                 self._tick()
@@ -252,10 +248,8 @@ class _PT:
             t = canonical(sigma.apply(t), self.fuel)
             if s == t:
                 continue
-            tys, sbody = strip_lams(s)
-            _, tbody = strip_lams(t)
-            F, us = spine(sbody)
-            G, vs = spine(tbody)
+            tys, F, us = view(s)
+            _, G, vs = view(t)
             if not (isinstance(F, Free) and isinstance(G, Free)):
                 raise InternalError("non flex-flex constraint in residue")
             if F.id == G.id:
@@ -314,7 +308,6 @@ class _PT:
         )
 
 
-@register("solid")
 def solid_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
     if type_of(s) != type_of(t):
         return NotApplicable()
@@ -341,7 +334,7 @@ def solid_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
         for sigma, residue in pt.enumerate([(s, t, False)]):
             full = compose(pt.discharge(residue), sigma, fuel)
             csu.append(_checked(full, s, t, problem_ids, fuel))
-        return Success(tuple(csu))
+        return Success(tuple(csu)) if csu else NotUnifiable()
     except _GiveUp:
         return NotApplicable()
 

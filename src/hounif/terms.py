@@ -310,6 +310,20 @@ def strip_lams(t: Term) -> tuple[list[Type], Term]:
     return tys, t
 
 
+def view(t: Term) -> tuple[list[Type], Term, list[Term]]:
+    """(binder types, head, arguments) of t, as `strip_lams` and then
+    `spine` give them, in one walk."""
+    tys, args = [], []
+    while type(t) is Lam:
+        tys.append(t.binder)
+        t = t.body
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fn
+    args.reverse()
+    return tys, t, args
+
+
 def head_of(t: Term) -> Term:
     """The head below t's binders: never an App, and a Lam only when it
     is the abstraction of a redex."""

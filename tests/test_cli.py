@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import hounif.cli as cli
+from hounif.engine import EngineConfig
 
 DEMO_PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "problems"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -246,6 +247,19 @@ def test_solve_recursion_error_exits_2(tmp_path, capsys, monkeypatch):
     rc, out, err = run_cli(capsys, ["solve", write(tmp_path, FLEX_FLEX_PROBLEM)])
     assert rc == 2
     assert err == "error: input nested too deeply\n"
+
+
+def test_solve_without_flags_runs_the_default_config(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def recorded(goals, cfg):
+        seen.append(cfg)
+        return real_solve(goals, cfg)
+
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", recorded)
+    rc, out, err = run_cli(capsys, ["solve", write(tmp_path, TWO_UNIFIER_PROBLEM)])
+    assert rc == 0 and seen == [EngineConfig()]
 
 
 @pytest.mark.parametrize("option", ["--max-unifiers", "--max-steps", "--timeout-ms"])

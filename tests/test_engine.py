@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import pathlib
 import random
+import re
 import sys
 import types
 
@@ -24,7 +25,7 @@ from hounif.engine import (
     step,
     verify_unifier,
 )
-from hounif.errors import TypeMismatch
+from hounif.errors import InternalError, TypeMismatch
 from hounif.problem_io import parse_index, parse_problem
 from hounif.subst import FreshSupply, Substitution, TriangularSubst
 from hounif.terms import (
@@ -42,6 +43,7 @@ from hounif.terms import (
     mk_lams,
     spine,
     strip_lams,
+    view,
 )
 
 a = Const("a", I)
@@ -554,7 +556,7 @@ def test_views_taken_about_once_per_constraint(monkeypatch):
     # every copy of a constraint shares the views of the sides it keeps,
     # so the views taken stay below two per constraint built
     counts = {"views": 0, "built": 0}
-    view, init = engine._view, engine.Constraint.__init__
+    view, init = engine.view, engine.Constraint.__init__
 
     def counted_view(t):
         counts["views"] += 1
@@ -564,7 +566,7 @@ def test_views_taken_about_once_per_constraint(monkeypatch):
         counts["built"] += 1
         init(self, *args)
 
-    monkeypatch.setattr(engine, "_view", counted_view)
+    monkeypatch.setattr(engine, "view", counted_view)
     monkeypatch.setattr(engine.Constraint, "__init__", counted_init)
     problems = _pinned_problems()
     for name in ("criterion9", "criterion10"):
@@ -592,12 +594,12 @@ def test_transition_on_rigid_pair_walks_no_side(monkeypatch, pair, rule):
     def walked(*args):
         raise AssertionError("a constraint side was walked again")
 
-    monkeypatch.setattr(engine, "_view", walked)
+    monkeypatch.setattr(engine, "view", walked)
     assert engine._transition(state, search)[0] == rule
 
 
 def test_view_equals_strip_lams_then_spine():
-    """`_view`'s inline walk gives what `strip_lams` and `spine` give,
+    """`view`'s one walk gives what `strip_lams` and `spine` give,
     element by element, on seeded terms with binders, bound heads and
     redex heads (a Lam applied under binders)."""
     rng = random.Random(47)
@@ -611,7 +613,7 @@ def test_view_equals_strip_lams_then_spine():
             arg = termgen.gen_sized(rng, ty.dom, mode="any", frees=frees, max_size=5)
             terms += [App(t, arg), Lam(I, App(t, arg)), Lam(ty, App(t, Bound(0, ty.dom)))]
         for u in terms:
-            tys, head, args = engine._view(u)
+            tys, head, args = view(u)
             want_tys, body = strip_lams(u)
             want_head, want_args = spine(body)
             assert len(tys) == len(want_tys) and all(x is y for x, y in zip(tys, want_tys))
@@ -943,6 +945,60 @@ def test_oracles_get_what_the_phase_canonicalization_left(monkeypatch):
     assert min(cost) > 0 and shared.left == 1_000 - sum(cost)
     phase = engine._FUEL_FACTOR * engine._ORACLE_SIZE_CAP
     assert seen == [phase - sum(cost)] * 2
+
+
+def _consult(*oracle_fns):
+    """`consult` on G =?= f G with the given oracles, named by position."""
+    G = Free(0, I)
+    named = [(f"stub{i}", fn) for i, fn in enumerate(oracle_fns)]
+    return engine.consult(G, App(f, G), Substitution(), FreshSupply(10), named)
+
+
+@pytest.mark.parametrize("verdict", [oracles.Success(()), None, True], ids=["empty", "none", "bool"])
+def test_consult_rejects_an_empty_success_and_a_non_verdict(verdict):
+    with pytest.raises(InternalError, match=re.escape(f"oracle stub0 returned {verdict!r}")):
+        _consult(lambda s, t, supply, fuel: verdict)
+
+
+def test_consult_returns_the_first_verdict_past_abstentions_and_fuel_outs():
+    calls = []
+    unifiers = oracles.Success((Substitution(),))
+
+    def stub(name, verdict):
+        def oracle(s, t, supply, fuel):
+            calls.append(name)
+            if verdict is None:
+                raise normalize.ReductionBudget
+            return verdict
+        return oracle
+
+    abstains, spent = stub("abstains", oracles.NotApplicable()), stub("spent", None)
+    succeeds, refutes = stub("succeeds", unifiers), stub("refutes", oracles.NotUnifiable())
+    assert _consult(abstains, spent, succeeds, refutes) is unifiers
+    assert calls == ["abstains", "spent", "succeeds"]
+    calls.clear()
+    assert _consult(spent, abstains, refutes, succeeds) == oracles.NotUnifiable()
+    assert calls == ["spent", "abstains", "refutes"]
+    assert _consult(abstains, spent) == _consult() == oracles.NotApplicable()
+
+
+def test_beta_step_keeps_a_side_with_no_head_redex():
+    # hnf returns such a side itself, so the rewritten constraint keeps
+    # it and shares its view
+    F = Free(0, II)
+    redex = Lam(I, App(Lam(I, App(f, Bound(0, I))), Bound(0, I)))
+    plain = Lam(I, App(F, Bound(0, I)))
+    assert normalize.hnf(plain) is plain
+    state, search = prepare([(redex, plain)], NO_ORACLES)
+    (c,) = state.constraints
+    assert engine._transition(state, search)[0] == "normalize_beta"
+    (c2,) = step(state, search).constraints
+    if c.rhs is plain:
+        assert c2.rhs is plain and c2.rview is c.rview
+        assert c2.lhs == Lam(I, App(f, Bound(0, I)))
+    else:
+        assert c.lhs is plain and c2.lhs is plain and c2.lview is c.lview
+        assert c2.rhs == Lam(I, App(f, Bound(0, I)))
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))

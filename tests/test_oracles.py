@@ -14,7 +14,7 @@ from termgen import (
     make_frees,
     subst_key,
 )
-from hounif.engine import EngineConfig, solve
+from hounif.engine import EngineConfig, consult, solve
 from hounif.oracles import (
     NotApplicable,
     NotUnifiable,
@@ -54,12 +54,12 @@ def ctx(subst=Substitution(), start=1_000) -> tuple[Substitution, FreshSupply]:
 
 
 def _as_the_engine_calls(oracle):
-    """The oracle called on a constraint as the engine calls it: both
-    sides resolved under the context's substitution and canonical."""
+    """The oracle alone, called on a constraint through the engine's
+    oracle phase under the context's substitution."""
 
     def call(lhs, rhs, context):
         subst, supply = context
-        return oracle(canonical(subst.apply(lhs)), canonical(subst.apply(rhs)), supply, Fuel())
+        return consult(lhs, rhs, subst, supply, [(oracle.__name__, oracle)])
 
     return call
 
