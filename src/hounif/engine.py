@@ -489,12 +489,16 @@ def _decomposed(c: Constraint, state: UnifState) -> UnifState:
 def consult(s: Term, t: Term, subst, supply: FreshSupply, oracle_fns: list) -> Verdict:
     """The oracle phase on s =?= t under `subst`: the first verdict other
     than NotApplicable of the (name, oracle) pairs `oracle_fns`, in order.
-    Oversized sides skip the phase (oracles normalize eagerly).  Both sides
-    are resolved and canonicalized once, on the phase's fuel; each oracle
-    gets a meter of what that leaves, and one that runs out falls through.
-    An empty Success or a non-verdict is an oracle's defect."""
+    Oversized sides skip the phase (oracles normalize eagerly), and so do
+    sides of two types, which no constraint has (the check reads the raw
+    sides' type memos).  Both sides are resolved and canonicalized once,
+    on the phase's fuel; each oracle gets a meter of what that leaves, and
+    one that runs out falls through.  An empty Success or a non-verdict is
+    an oracle's defect."""
     cap = _ORACLE_SIZE_CAP
     if not (oracle_fns and size_within(s, cap) and size_within(t, cap)):
+        return NotApplicable()
+    if type_of(s) is not type_of(t):
         return NotApplicable()
     phase = Fuel(_FUEL_FACTOR * cap)
     try:

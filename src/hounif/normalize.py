@@ -20,6 +20,7 @@ from .terms import (
     App,
     Arrow,
     Bound,
+    Const,
     Free,
     Lam,
     Term,
@@ -85,7 +86,7 @@ def hnf(t: Term) -> Term:
 #: largest loose bound index, 0 when it is closed)
 _Value = tuple[Term, int, int, int]
 
-_EVAL, _SPINE, _WRAP, _REST = range(4)
+_EVAL, _CHAIN, _SPINE, _WRAP, _REST = range(5)
 
 #: the environment of a plain traversal: no bound variable instantiated,
 #: none shifted
@@ -110,6 +111,14 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> _Value:
     One fuel unit goes to each spine visited and each contraction; running
     out raises ReductionBudget.  Returns t's value.  Iterative: `todo`
     holds frames, `out` values.
+
+    A spine with one argument and a neutral head (a constant, a free
+    variable with no image, a bound variable not being instantiated) is
+    the top of a chain: its frame descends every such spine below it,
+    charging each its unit as it goes, and leaves one frame for the
+    chain's bottom and one that rebuilds the chain on the bottom's value,
+    keeping each node whose head and argument are unchanged.  The fuel
+    spent and the values are those of a frame per spine.
 
     A traversal's environment is (vals, k): at depth d below its root, a
     loose index d + j becomes vals[j] shifted by d for j < len(vals), and
@@ -156,6 +165,35 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> _Value:
                     new_head = Bound(head.index - len(vals) + k, head.ty)
             elif cls is Lam:  # a redex of t: contract the abstraction's value
                 head_eval = (_EVAL, head, d, env)
+            if len(args_rev) == 1 and value is None and head_eval is None:
+                # a neutral head with one argument: descend the chain of
+                # such spines below it in this frame
+                vals, k = env
+                chain = [(body, head, new_head)]
+                u = body.arg
+                while type(u) is App:
+                    head = new_head = u.fn
+                    cls = type(head)
+                    if cls is Free:
+                        if head.id in images:
+                            break
+                    elif cls is Bound:
+                        if head.index >= d:
+                            if head.index - d < len(vals):
+                                break
+                            if k != len(vals):
+                                new_head = Bound(head.index - len(vals) + k, head.ty)
+                    elif cls is not Const:
+                        break
+                    left -= 1
+                    if left < 0:
+                        fuel.left = left
+                        raise ReductionBudget
+                    chain.append((u, head, new_head))
+                    u = u.arg
+                todo.append((_CHAIN, chain))
+                todo.append((_EVAL, u, d, env))
+                continue
             if args_rev:
                 todo.append((_SPINE, body, head, new_head, value, args_rev, head_eval))
                 for a in args_rev:
@@ -167,23 +205,23 @@ def hereditary(t: Term, images: dict[int, _Value], fuel: Fuel) -> _Value:
                     value = new_head, 1, 0, new_head.index + 1 if cls is Bound else 0
                 out.append(value)
             continue
+        if tag == _CHAIN:  # rebuild a chain bottom-up on its bottom's value
+            _, chain = frame
+            a, size, height, loose = out.pop()
+            for body, head, new_head in reversed(chain):
+                if new_head is not head or a is not body.arg:
+                    body = App(new_head, a)
+                a = body
+                if type(new_head) is Bound and new_head.index >= loose:
+                    loose = new_head.index + 1
+            n = len(chain)
+            out.append((a, size + n, height + n, loose))
+            continue
         if tag == _SPINE:
             _, body, head, new_head, value, args_rev, head_eval = frame
             n = len(args_rev)
-            if n == 1:
-                argv = out.pop()
-                if value is None and head_eval is None:  # a neutral head (most spines): rebuild
-                    a, size, height, loose = argv
-                    if new_head is not head or a is not args_rev[0]:
-                        body = App(new_head, a)
-                    if type(new_head) is Bound and new_head.index >= loose:
-                        loose = new_head.index + 1
-                    out.append((body, size + 1, height + 1, loose))
-                    continue
-                argv = [argv]
-            else:
-                argv = out[-n:]
-                del out[-n:]
+            argv = out[-n:]
+            del out[-n:]
             if head_eval is not None:
                 value = out.pop()
             same = None  # an existing term equal to the application

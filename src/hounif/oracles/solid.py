@@ -309,8 +309,6 @@ class _PT:
 
 
 def solid_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
-    if type_of(s) != type_of(t):
-        return NotApplicable()
     if not (is_solid(s) and is_solid(t)):
         return NotApplicable()
     fvs, fvt = free_vars(s), free_vars(t)

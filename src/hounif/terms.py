@@ -438,19 +438,31 @@ def is_closed(t: Term) -> bool:
 def free_vars(t: Term) -> dict[int, Free]:
     """All free variables, keyed by id (insertion order = first occurrence,
     left to right).  Iterative, so term depth is not bounded by the
-    interpreter's recursion limit."""
+    interpreter's recursion limit: the walk goes on into a function, a
+    binder's body, and the argument of an application whose function is
+    a leaf, and stacks only the arguments of the other applications."""
     out: dict[int, Free] = {}
     stack = [t]
     while stack:
         t = stack.pop()
-        cls = type(t)
-        if cls is App:
-            stack.append(t.arg)
-            stack.append(t.fn)
-        elif cls is Lam:
-            stack.append(t.body)
-        elif cls is Free and t.id not in out:
-            out[t.id] = t
+        while True:
+            cls = type(t)
+            if cls is App:
+                fn = t.fn
+                cls = type(fn)
+                if cls is App or cls is Lam:
+                    stack.append(t.arg)
+                    t = fn
+                    continue
+                if cls is Free and fn.id not in out:
+                    out[fn.id] = fn
+                t = t.arg
+            elif cls is Lam:
+                t = t.body
+            else:
+                if cls is Free and t.id not in out:
+                    out[t.id] = t
+                break
     return out
 
 

@@ -982,6 +982,22 @@ def test_consult_returns_the_first_verdict_past_abstentions_and_fuel_outs():
     assert _consult(abstains, spent) == _consult() == oracles.NotApplicable()
 
 
+def test_consult_calls_no_oracle_on_sides_of_two_types():
+    calls = []
+
+    def stub(s, t, supply, fuel):
+        calls.append((s, t))
+        return oracles.NotApplicable()
+
+    G, F = Free(0, I), Free(1, II)
+    named = [("stub", stub)]
+    for s, t in ((G, f), (f, G), (F, App(f, G)), (Lam(I, G), Lam(II, G))):
+        assert engine.consult(s, t, Substitution(), FreshSupply(10), named) == oracles.NotApplicable()
+    assert calls == []
+    engine.consult(F, f, Substitution(), FreshSupply(10), named)
+    assert len(calls) == 1
+
+
 def test_beta_step_keeps_a_side_with_no_head_redex():
     # hnf returns such a side itself, so the rewritten constraint keeps
     # it and shares its view

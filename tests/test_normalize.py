@@ -22,6 +22,7 @@ from hounif.terms import (
     App,
     Bound,
     Const,
+    Free,
     Lam,
     instantiate,
     lam_depth,
@@ -220,6 +221,128 @@ def test_hereditary_values_and_fuel_on_seeded_terms():
         assert hereditary(t, images, exact) == (term, *measures) and exact.left == 0
         with pytest.raises(ReductionBudget):
             hereditary(t, images, Fuel(spent - 1))
+
+
+# ---------------------------------------------------------------- chains
+
+_H = Free(40, II)  # substituted at the bottom of a chain
+_G = Free(41, II)  # never substituted: a neutral head
+_h = Const("h", termgen.arrow([II], I))
+
+
+def _chain(heads, n, bottom):
+    """heads[0] (heads[1] (... bottom)): n one-argument spines whose
+    heads cycle through `heads`."""
+    for i in range(n - 1, -1, -1):
+        bottom = App(heads[i % len(heads)], bottom)
+    return bottom
+
+
+def _bottoms():
+    """(name, the bottom over x, H's image or None, the bottom's
+    beta-normal form after the substitution, over x), for a bound x : i."""
+    supply = FreshSupply(1_000)
+    ((_, imitation),) = bindings.imitation(_H, f, supply).entries  # \z. f (H1 z)
+    ((_, projection),) = bindings.jp_projection(_H, 1).entries  # \z. z
+    ((_, elimination),) = bindings.elimination(_H, (), supply).entries  # \z. E
+    H1, E = imitation.body.arg.fn, elimination.body
+
+    def lam(x):  # h (\z. g z x)
+        return App(_h, Lam(I, mk_app(g, [Bound(0, I), Bound(x.index + 1, I)])))
+
+    return [
+        ("leaf", lambda x: x, None, lambda x: x),
+        ("lam", lam, None, lam),
+        ("imitation", lambda x: App(_H, x), imitation, lambda x: App(f, App(H1, x))),
+        ("projection", lambda x: App(_H, x), projection, lambda x: x),
+        ("elimination", lambda x: App(_H, x), elimination, lambda x: E),
+    ]
+
+
+def _chain_cases(n, bottom, want):
+    """name -> (t, t's expected value) for chains of n spines over
+    `bottom`, whose value is `want`."""
+    x0, x1 = Bound(0, I), Bound(1, I)
+    y1, y2 = Bound(1, II), Bound(2, II)
+
+    def t(heads, x):
+        return _chain(heads, n, bottom(x))
+
+    def w(heads, x):
+        return _chain(heads, n, want(x))
+
+    return {
+        "const": (Lam(I, t([f], x0)), Lam(I, w([f], x0))),
+        "free": (Lam(I, t([_G], x0)), Lam(I, w([_G], x0))),
+        "inner": (Lam(II, Lam(I, t([y1], x0))), Lam(II, Lam(I, w([y1], x0)))),
+        "loose": (Lam(I, t([y1], x0)), Lam(I, w([y1], x0))),
+        "mixed": (Lam(II, Lam(I, t([f, _G, y1, y2], x0))), Lam(II, Lam(I, w([f, _G, y1, y2], x0)))),
+        # the redex's binder goes, so the loose head drops from #2 to #1
+        "contracted": (App(Lam(I, Lam(I, t([y2], x0))), a), Lam(I, w([y1], x0))),
+        # the chain is an argument moved under a binder: #1 becomes #2
+        "shifted": (Lam(I, App(Lam(I, Lam(I, x1)), t([y1], x0))), Lam(I, Lam(I, w([y2], x1)))),
+    }
+
+
+#: cases whose every head and bottom is left as it is
+_UNTOUCHED = ("const", "free", "inner", "loose", "mixed")
+
+
+def test_hereditary_chains_values_measures_and_fuel():
+    """Chains of 1 to 5,000 one-argument spines with constant, neutral
+    free, inner bound and loose bound heads (loose ones renumbered by a
+    contraction or a shift, and not), over a leaf, an abstraction and a
+    substituted H x: the value is beta_normal of the plain substitution
+    and the one built by hand, the measures are the independent walk's,
+    the pass runs on exactly the fuel it spends, and a chain nothing
+    touches comes back as the same object.
+
+    `_measures` recurses and re-walks each level, so at 5,000 spines the
+    measures are those of the 64-spine chain plus one size and one height
+    per added spine (64 and 5,000 are both multiples of every cycle of
+    heads, so the loose bound is the same)."""
+    small = {}
+    for n in (1, 2, 3, 64, 5_000):
+        for name, bottom, image, want in _bottoms():
+            images = {} if image is None else {_H.id: _value(image)}
+            rho = Substitution([] if image is None else [(_H, image)])
+            for kind, (t, expect) in _chain_cases(n, bottom, want).items():
+                meter = Fuel(10**9)
+                term, *measures = hereditary(t, images, meter)
+                spent = 10**9 - meter.left
+                assert term == beta_normal(rho.apply(t)) == expect, (n, name, kind)
+                if n <= 64:
+                    assert tuple(measures) == _measures(term), (n, name, kind)
+                    small[name, kind] = measures
+                else:
+                    s, h, loose = small[name, kind]
+                    assert measures == [s + n - 64, h + n - 64, loose], (n, name, kind)
+                exact = Fuel(spent)
+                assert hereditary(t, images, exact) == (term, *measures) and exact.left == 0
+                with pytest.raises(ReductionBudget):
+                    hereditary(t, images, Fuel(spent - 1))
+                if image is None and kind in _UNTOUCHED:
+                    assert term is t, (n, name, kind)
+                if (name, kind) == ("leaf", "const"):  # one unit per spine
+                    assert spent == n + 1
+
+
+def test_hereditary_chain_of_100000_at_default_recursion_limit():
+    # \x. f^100000 (H x) with H -> \z. f (H1 z): 100,000 spines, one frame
+    n = 100_000
+    ((_, image),) = bindings.imitation(_H, f, FreshSupply(1_000)).entries
+    H1 = image.body.arg.fn
+    x = Bound(0, I)
+    t = Lam(I, _chain([f], n, App(_H, x)))
+    meter = Fuel(10**9)
+    value = hereditary(t, {_H.id: _value(image)}, meter)
+    # sizes: the binder, n + 1 f's, H1 and x; heights: the binder and
+    # n + 2 applications
+    assert value == (Lam(I, _chain([f], n + 1, App(H1, x))), n + 4, n + 3, 0)
+    # t's n + 2 spines (the chain, H x and x), the contraction, and the
+    # three spines of the image's body, f (H1 z)
+    assert 10**9 - meter.left == n + 6
+    assert hereditary(t, {}, Fuel())[0] is t
 
 
 def test_canonical_matches_independent_normalizer():

@@ -266,6 +266,33 @@ def test_free_vars_matches_recursive_reference():
         assert list(got.items()) == list(want.items())  # first-occurrence order
 
 
+def test_free_vars_follows_chains_in_first_occurrence_order():
+    """Chains of one-argument spines with free heads at several depths,
+    with App-headed functions (K u) t and (K t) u and abstractions among
+    them: the recursive reference's variables, in its order."""
+    F, K, L = Free(0, II), Free(1, III), Free(2, arrow([II], I))
+    X, Y = Free(3, I), Free(4, I)
+    assert list(free_vars(mk_app(K, [X, App(F, App(F, Y))]))) == [1, 3, 0, 4]
+    rng = random.Random(47)
+    frees = [Free(10 + i, II) for i in range(4)]
+    leaves = [a, b, Free(20, I), Free(21, I)]
+    for _ in range(300):
+        t = rng.choice(leaves)
+        for _ in range(rng.randint(1, 250)):
+            pick = rng.random()
+            if pick < 0.3:
+                t = App(f, t)
+            elif pick < 0.6:
+                t = App(rng.choice(frees), t)
+            elif pick < 0.75:
+                t = mk_app(rng.choice([K, g]), [rng.choice(leaves), t])
+            elif pick < 0.9:
+                t = mk_app(rng.choice([K, g]), [t, rng.choice(leaves)])
+            else:
+                t = App(L, Lam(I, t))
+        assert list(free_vars(t).items()) == list(_free_vars_reference(t).items())
+
+
 def _loose_reference(t, depth=0):
     if isinstance(t, Bound):
         return {t.index - depth} if t.index >= depth else set()
