@@ -1,6 +1,8 @@
 """Oracles: fixpoint and pattern goldens, the solid worked example, and
 honesty (NotApplicable) on inputs just outside each fragment."""
 
+import collections
+import hashlib
 import random
 
 import pytest
@@ -395,6 +397,63 @@ def test_solid_random_csu_elements_verify():
             assert_verifies([(s, t)], sigma)
             assert {F.id for F in sigma.domain()} <= allowed
     assert successes >= 20
+
+
+def test_solid_flex_flex_mgu_exact():
+    # F a =?= G b: each argument is matched against a fresh variable
+    # applied to the other side's arguments (?3 and ?4), and both images
+    # run through one fresh head ?5
+    F, G = Free(1, II), Free(2, II)
+    Z = Free(5, III)
+    v = solid_oracle(App(F, a), App(G, b), ctx(start=3))
+    expected = Substitution(
+        (
+            (F, Lam(I, mk_app(Z, [Bound(0, I), b]))),
+            (G, Lam(I, mk_app(Z, [a, Bound(0, I)]))),
+        )
+    )
+    assert v == Success((expected,))
+
+
+def test_solid_flex_flex_mgu_functional_argument_exact():
+    # \y:i>i. F y =?= \y. G y: the matched argument y is functional, so
+    # its matcher side is eta-expanded before the matching run; each
+    # image passes the eta-long y twice to the fresh head ?5
+    T = arrow([II], I)
+    F, G = Free(1, T), Free(2, T)
+    Z = Free(5, arrow([II, II], I))
+    y = Lam(I, App(Bound(1, II), Bound(0, I)))
+    v = solid_oracle(Lam(II, App(F, Bound(0, II))), Lam(II, App(G, Bound(0, II))), ctx(start=3))
+    image = Lam(II, mk_app(Z, [y, y]))
+    assert v == Success((Substitution(((F, image), (G, image))),))
+
+
+#: 300 seeded solid pairs (a third of them sharing their variables), each
+#: through the engine's oracle phase with the solid oracle alone: the
+#: first 16 hex digits of the sha256 of one "trial verdict" line per pair,
+#: fresh variable ids included, and the count of each verdict
+PINNED_SOLID_DIGEST = "48b8f41901deddab"
+PINNED_SOLID_VERDICTS = {
+    ("NotApplicable", 0): 4,
+    ("NotUnifiable", 0): 149,
+    ("Success", 1): 132,
+    ("Success", 2): 13,
+    ("Success", 3): 2,
+}
+
+
+def test_solid_oracle_csus_pinned():
+    rng = random.Random(2611)
+    digest = hashlib.sha256()
+    verdicts = collections.Counter()
+    for trial in range(300):
+        left = make_frees(rng, 4, start=100)
+        right = left if trial % 3 == 0 else make_frees(rng, 4, start=200)
+        s, t = gen_pair(rng, mode="solid", frees_l=left, frees_r=right, max_size=8)
+        v = solid_oracle(s, t, ctx())
+        digest.update(f"{trial} {v!r}\n".encode())
+        verdicts[type(v).__name__, len(v.csu) if isinstance(v, Success) else 0] += 1
+    assert (digest.hexdigest()[:16], dict(verdicts)) == (PINNED_SOLID_DIGEST, PINNED_SOLID_VERDICTS)
 
 
 # ------------------------------------------------------------ shared bits
