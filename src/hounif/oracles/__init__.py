@@ -14,8 +14,9 @@ sides with the current substitution applied, in eta-long beta-normal
 form.  Fresh variables come from ``supply``.  Unlike the main solver
 loop, oracles are free to normalize terms fully, but they pass ``fuel``
 (a ``normalize.Fuel`` holding what the phase's canonicalization left) to
-every ``canonical`` and ``compose`` call; an oracle that runs out raises
-``ReductionBudget`` and ``consult`` moves on to the next one.  An empty
+every normalizing call (``canonical``, ``hereditary``, ``compose``); an
+oracle that runs out raises ``ReductionBudget`` and ``consult`` moves on
+to the next one.  An empty
 ``Success`` is a defect there, as is any other return value.
 
 The registry is the table ``_REGISTRY`` of the three decision procedures

@@ -500,7 +500,8 @@ def type_of(t: Term) -> Type:
 
     The nodes below `t` with no memo yet are typed by an explicit walk
     that finishes a node once its children are typed (a function before
-    its argument, as the checks read them), so no call recurses.
+    its argument, as the checks read them), so no call recurses.  A leaf
+    child's `ty` is read in place; a child that has none is not a term.
 
     Dispatches on the exact class rather than with `match`: class patterns
     cost more than the whole lookup on a leaf or a memoized node.
@@ -515,44 +516,40 @@ def type_of(t: Term) -> Type:
     else:
         raise IllTyped(f"not a term: {t!r}")
     todo = [t]
-    while todo:
-        u = todo[-1]
-        if type(u) is Lam:
-            v = u.body
-            ty = getattr(v, "_ty", None) if type(v) in _NODES else _leaf_type(v)
-            if ty is None:
-                todo.append(v)
-                continue
-            ty = Arrow(u.binder, ty)
-        else:
-            v = u.fn
-            tf = getattr(v, "_ty", None) if type(v) in _NODES else _leaf_type(v)
-            if tf is None:
-                todo.append(v)
-                continue
-            if type(tf) is not Arrow:
-                raise IllTyped(f"application of a base-type term: {v!r}")
-            v = u.arg
-            ta = getattr(v, "_ty", None) if type(v) in _NODES else _leaf_type(v)
-            if ta is None:
-                todo.append(v)
-                continue
-            if tf.dom is not ta:
-                raise IllTyped(f"argument type {ta!r} does not match expected {tf.dom!r}")
-            ty = tf.cod
-        u._ty = ty
-        todo.pop()
+    try:
+        while todo:
+            u = todo[-1]
+            if type(u) is Lam:
+                v = u.body
+                ty = getattr(v, "_ty", None) if type(v) in _NODES else v.ty
+                if ty is None:
+                    todo.append(v)
+                    continue
+                ty = Arrow(u.binder, ty)
+            else:
+                v = u.fn
+                tf = getattr(v, "_ty", None) if type(v) in _NODES else v.ty
+                if tf is None:
+                    todo.append(v)
+                    continue
+                if type(tf) is not Arrow:
+                    raise IllTyped(f"application of a base-type term: {v!r}")
+                v = u.arg
+                ta = getattr(v, "_ty", None) if type(v) in _NODES else v.ty
+                if ta is None:
+                    todo.append(v)
+                    continue
+                if tf.dom is not ta:
+                    raise IllTyped(f"argument type {ta!r} does not match expected {tf.dom!r}")
+                ty = tf.cod
+            u._ty = ty
+            todo.pop()
+    except AttributeError:  # a child with no `ty`, read in place
+        raise IllTyped(f"not a term: {v!r}") from None
     return ty
 
 
 _NODES = (App, Lam)
-
-
-def _leaf_type(t: Term) -> Type:
-    """The type a variable or constant carries."""
-    if type(t) in (Free, Bound, Const):
-        return t.ty
-    raise IllTyped(f"not a term: {t!r}")
 
 
 def check_image(image: Term, ty: Type, fuel: int) -> Optional[tuple[int, int, dict[int, Free]]]:
