@@ -16,8 +16,8 @@ loop, oracles are free to normalize terms fully, but they pass ``fuel``
 (a ``normalize.Fuel`` holding what the phase's canonicalization left) to
 every normalizing call (``canonical``, ``hereditary``, ``compose``); an
 oracle that runs out raises ``ReductionBudget`` and ``consult`` moves on
-to the next one.  An empty
-``Success`` is a defect there, as is any other return value.
+to the next one.  An empty ``Success`` is a defect there, as is any
+other return value.
 
 The registry is the table ``_REGISTRY`` of the three decision procedures
 of this package, by name: ``pattern``, ``fixpoint`` and ``solid``.  The

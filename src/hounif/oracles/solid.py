@@ -25,10 +25,10 @@ The computation follows a three-stage plan:
    terms of the other side's arguments (finitely many ways, found by PT
    on matching problems) and funnelling everything through one shared
    fresh variable.
-3. Every resulting unifier is verified against the input: one
-   hereditary pass per side must give both sides one beta-normal form,
-   which makes them beta-eta-equal.  A mismatch would mean a defect in
-   the construction, not in the input, and raises InternalError.  No unifier at all is NotUnifiable, not an empty Success.
+3. Every resulting unifier is verified against the input: one hereditary
+   pass per side must give both sides one beta-normal form, so they are
+   beta-eta-equal.  A mismatch is a defect in the construction, not in
+   the input, and raises InternalError.  No unifier is NotUnifiable.
 
 The whole oracle gives up (returns NotApplicable) if a safety cap on PT
 transitions is exceeded; under the fragment's preconditions this cannot
