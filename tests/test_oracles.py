@@ -428,6 +428,23 @@ def test_solid_flex_flex_mgu_functional_argument_exact():
     assert v == Success((Substitution(((F, image), (G, image))),))
 
 
+def test_solid_flex_flex_mgu_second_order_argument_exact():
+    # \y:(i>i)>i. F y =?= \y. G y a: y's matcher side H y a is
+    # eta-expanded to \z:i>i. H y a z, whose extra projection onto z draws
+    # a helper for z's argument; so the fresh head is ?12, not ?11
+    Y = arrow([II], I)
+    F, G = Free(1, arrow([Y], I)), Free(2, arrow([Y, I], I))
+    Z = Free(12, arrow([Y, Y, I], I))
+
+    def y(depth):  # the eta-long y under `depth` binders
+        return Lam(II, App(Bound(depth, Y), Lam(I, App(Bound(1, II), Bound(0, I)))))
+
+    v = solid_oracle(Lam(Y, App(F, Bound(0, Y))), Lam(Y, mk_app(G, [Bound(0, Y), a])), ctx(start=3))
+    f_image = Lam(Y, mk_app(Z, [y(1), y(1), a]))
+    g_image = mk_lams([Y, I], mk_app(Z, [y(2), y(2), Bound(0, I)]))
+    assert v == Success((Substitution(((F, f_image), (G, g_image))),))
+
+
 #: 300 seeded solid pairs (a third of them sharing their variables), each
 #: through the engine's oracle phase with the solid oracle alone: the
 #: first 16 hex digits of the sha256 of one "trial verdict" line per pair,
