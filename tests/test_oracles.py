@@ -33,11 +33,14 @@ from hounif.normalize import Fuel, canonical
 from hounif.subst import FreshSupply, Substitution
 from hounif.terms import (
     App,
+    Arrow,
     Bound,
     Const,
     Free,
     Lam,
+    arg_types,
     arrow,
+    free_vars,
     mk_app,
     mk_lams,
     spine,
@@ -154,22 +157,27 @@ def test_fixpoint_applied_variable_side_undecided():
 
 
 def test_pattern_swapped_arguments_golden():
-    F, G = Free(0, III), Free(1, III)
-    lhs = mk_lams([I, I], mk_app(F, [Bound(1, I), Bound(0, I)]))
-    rhs = mk_lams([I, I], mk_app(G, [Bound(0, I), Bound(1, I)]))
-    v = pattern_oracle(lhs, rhs, ctx())
-    assert isinstance(v, Success) and len(v.csu) == 1  # unitary fragment
-    sigma = v.csu[0]
-    assert_verifies([(lhs, rhs)], sigma)
+    # \x1...xn. F x1 ... xn =?= \x1...xn. G xn ... x1: every argument is
+    # shared, at another position on each side
+    for n in (2, 2_000):
+        tys = [I] * n
+        F, G = Free(0, arrow(tys, I)), Free(1, arrow(tys, I))
+        xs = [Bound(n - 1 - j, I) for j in range(n)]
+        lhs = mk_lams(tys, mk_app(F, xs))
+        rhs = mk_lams(tys, mk_app(G, xs[::-1]))
+        v = pattern_oracle(lhs, rhs, ctx())
+        assert isinstance(v, Success) and len(v.csu) == 1  # unitary fragment
+        sigma = v.csu[0]
+        assert_verifies([(lhs, rhs)], sigma)
 
-    Z = Free(500, III)
-    expected = Substitution(
-        (
-            (F, mk_lams([I, I], mk_app(Z, [Bound(1, I), Bound(0, I)]))),
-            (G, mk_lams([I, I], mk_app(Z, [Bound(0, I), Bound(1, I)]))),
+        Z = Free(1_000, F.ty)  # the first fresh variable of ctx()
+        expected = Substitution(
+            (
+                (F, mk_lams(tys, mk_app(Z, xs))),
+                (G, mk_lams(tys, mk_app(Z, xs[::-1]))),
+            )
         )
-    )
-    assert subst_key(sigma, [F, G]) == subst_key(expected, [F, G])
+        assert sigma == expected
 
 
 def test_pattern_same_head_keeps_agreeing_positions():
@@ -228,14 +236,22 @@ def test_pattern_not_applicable_outside_fragment():
 
 def test_pattern_unify_patterns_on_several_pairs():
     F, G = Free(0, II), Free(1, II)
-    pairs = [
+    canonical_pairs = [
         (Lam(I, App(F, Bound(0, I))), Lam(I, App(f, App(G, Bound(0, I))))),
         (Lam(I, App(G, Bound(0, I))), Lam(I, b)),
     ]
-    sigma = unify_patterns(pairs, FreshSupply(1_000))
-    assert sigma is not None
-    assert canonical(sigma.image_of(F.id)) == Lam(I, App(f, b))
-    assert canonical(sigma.image_of(G.id)) == Lam(I, b)
+    # the same pairs not canonical: F and G eta-short, a beta-redex under
+    # the other side's binder
+    raw_pairs = [
+        (F, Lam(I, App(Lam(I, App(f, App(G, Bound(0, I)))), Bound(0, I)))),
+        (G, Lam(I, b)),
+    ]
+    for pairs in (canonical_pairs, raw_pairs):
+        sigma = unify_patterns(pairs, FreshSupply(1_000))
+        assert sigma is not None
+        assert_verifies(pairs, sigma)
+        assert canonical(sigma.image_of(F.id)) == Lam(I, App(f, b))
+        assert canonical(sigma.image_of(G.id)) == Lam(I, b)
 
 
 def test_pattern_random_agreement_with_engine():
@@ -261,6 +277,37 @@ def test_pattern_random_agreement_with_engine():
         if found:
             assert isinstance(v, Success)
     assert successes and refutations  # the sample exercises both verdicts
+
+
+#: 300 seeded pattern pairs (a third of them sharing their variables), each
+#: through the engine's oracle phase with the pattern oracle alone: the
+#: first 16 hex digits of the sha256 of one "trial verdict" line per pair,
+#: fresh variable ids included, and the count of each verdict
+PINNED_PATTERN_DIGEST = "ec5dc8eb58e686fb"
+PINNED_PATTERN_VERDICTS = {
+    ("NotUnifiable", 0): 197,
+    ("Success", 1): 103,
+}
+
+
+def test_pattern_oracle_mgus_pinned():
+    rng = random.Random(2711)
+    digest = hashlib.sha256()
+    verdicts = collections.Counter()
+    functional = 0  # unified pairs with a variable taking a function
+    for trial in range(300):
+        left = make_frees(rng, 4, start=100)
+        right = left if trial % 3 == 0 else make_frees(rng, 4, start=200)
+        s, t = gen_pair(rng, mode="pattern", frees_l=left, frees_r=right, max_size=8)
+        v = pattern_oracle(s, t, ctx())
+        digest.update(f"{trial} {v!r}\n".encode())
+        verdicts[type(v).__name__, len(v.csu) if isinstance(v, Success) else 0] += 1
+        if isinstance(v, Success) and any(
+            type(d) is Arrow for x in (free_vars(s) | free_vars(t)).values() for d in arg_types(x.ty)
+        ):
+            functional += 1
+    assert (digest.hexdigest()[:16], dict(verdicts)) == (PINNED_PATTERN_DIGEST, PINNED_PATTERN_VERDICTS)
+    assert functional  # the images over functional binders are pinned too
 
 
 # ----------------------------------------------------------------- solid
