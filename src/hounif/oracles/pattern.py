@@ -7,39 +7,42 @@ invert a rigid side over a flexible head's argument list (pruning inner
 variables whose arguments are not expressible), intersect argument lists
 for flex-flex pairs.  An occurs-check failure or an inexpressible rigid
 bound variable means there is no unifier at all.
+
+The pairs are canonicalized once, on entry, and kept in the oracles' one
+format (see the package docstring), as is the substitution.
 """
 
 from __future__ import annotations
 
 from ..errors import InternalError
-from ..normalize import Fuel, canonical
-from ..subst import FreshSupply, Substitution, compose
+from ..normalize import Fuel, canonical, hereditary
+from ..subst import FreshSupply, Substitution
+from ..subst import compose  # noqa: F401  (perfbench/tracer.py wraps pattern.compose)
 from ..terms import (
     Bound,
     Free,
     Term,
     arg_types,
-    arrow,
     mk_app,
     mk_lams,
-    result_type,
-    spine,
     strip_lams,
     view,
 )
 from ..terms import type_of  # noqa: F401  (perfbench/tracer.py wraps pattern.type_of)
-from . import NotApplicable, NotUnifiable, Success, eta_bound_index
+from . import (
+    NotApplicable,
+    NotUnifiable,
+    Success,
+    _narrow,
+    _then,
+    _values,
+    eta_bound_index,
+    same_head_mgu,
+)
 
 
 class _Clash(Exception):
     """No unifier exists."""
-
-
-class _Prune(Exception):
-    """Restart the current pair after narrowing an inner variable."""
-
-    def __init__(self, rho: Substitution):
-        self.rho = rho
 
 
 def is_pattern(t: Term) -> bool:
@@ -64,12 +67,12 @@ def _flex_args(args) -> list[int]:
     return idxs
 
 
-def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply, fuel: Fuel) -> Term:
-    """Rewrite the rigid side into the body of F's image: bound references
-    into the constraint prefix become references to F's own binders via
-    `inv` (prefix index -> argument position).  Raises _Clash when a rigid
-    position mentions an unmapped prefix variable or F itself, and _Prune
-    when an inner variable must first drop some arguments."""
+def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply, fuel: Fuel):
+    """F's binding, as (F, substitution): the rigid side with references
+    into the constraint prefix turned into F's own binders via `inv`
+    (prefix index -> argument position); or first, as (G, substitution),
+    the pruning of an inner variable G that must drop arguments.  Raises
+    _Clash when a rigid position mentions an unmapped prefix variable or F."""
     m = F.ty.arity
     out: list[Term] = []
     # (subterm, binder depth) visits in preorder, and (binders, head,
@@ -101,60 +104,28 @@ def _invert(F: Free, inv: dict[int, int], t_body: Term, supply: FreshSupply, fue
                 if ai < d or (ai - d) in inv:
                     keep.append(pos)
             if len(keep) != len(args):
-                g_tys = arg_types(head.ty)
-                narrowed = supply.fresh(
-                    arrow([g_tys[p] for p in keep], result_type(head.ty))
-                )
-                image = mk_lams(
-                    g_tys,
-                    mk_app(narrowed, [Bound(len(g_tys) - 1 - p, g_tys[p]) for p in keep]),
-                )
-                raise _Prune(Substitution(((head, canonical(image, fuel)),)))
+                return head, _narrow([(head, keep)], supply, fuel)
         todo.append((tys, head, len(args)))
         todo.extend((a, d) for a in reversed(args))
-    return out[0]
+    # eta-long as built: only heads of the canonical rigid side were renamed
+    return F, _values(((F, mk_lams(arg_types(F.ty), out[0])),))
 
 
-def _bind(F: Free, body: Term, fuel: Fuel) -> Substitution:
-    return Substitution(((F, canonical(mk_lams(arg_types(F.ty), body), fuel)),))
-
-
-def same_head_mgu(F: Free, us: list, vs: list, supply: FreshSupply, fuel: Fuel) -> Substitution:
-    """The MGU of ``F us =?= F vs``: F keeps the argument positions where
-    both sides agree, through one fresh head."""
-    tys = arg_types(F.ty)
-    keep = [j for j in range(len(us)) if us[j] == vs[j]]
-    fresh = supply.fresh(arrow([tys[j] for j in keep], result_type(F.ty)))
-    m = len(tys)
-    body = mk_app(fresh, [Bound(m - 1 - j, tys[j]) for j in keep])
-    return _bind(F, body, fuel)
-
-
-def _flex_diff(
-    F: Free, us: list[int], G: Free, vs: list[int], supply: FreshSupply, fuel: Fuel
-) -> Substitution:
-    f_tys, g_tys = arg_types(F.ty), arg_types(G.ty)
-    common = [u for u in us if u in set(vs)]
-    fresh = supply.fresh(
-        arrow([f_tys[us.index(c)] for c in common], result_type(F.ty))
-    )
-    m, n = len(us), len(vs)
-    f_body = mk_app(fresh, [Bound(m - 1 - us.index(c), f_tys[us.index(c)]) for c in common])
-    g_body = mk_app(fresh, [Bound(n - 1 - vs.index(c), g_tys[vs.index(c)]) for c in common])
-    return Substitution(
-        (
-            (F, canonical(mk_lams(f_tys, f_body), fuel)),
-            (G, canonical(mk_lams(g_tys, g_body), fuel)),
-        )
-    )
+def _flex_diff(F: Free, us: list, G: Free, vs: list, supply: FreshSupply, fuel: Fuel) -> dict:
+    """The MGU of ``F us =?= G vs``: both keep the arguments they share,
+    in F's order."""
+    at = {v: k for k, v in enumerate(vs)}
+    common = [(j, at[u]) for j, u in enumerate(us) if u in at]
+    return _narrow([(F, [j for j, _ in common]), (G, [k for _, k in common])], supply, fuel)
 
 
 def unify_patterns(pairs, supply: FreshSupply, fuel: Fuel | None = None) -> Substitution | None:
     """MGU of the given pattern pairs, or None if there is no unifier;
     the normalization draws on `fuel`, unlimited by default."""
     fuel = Fuel() if fuel is None else fuel
-    sigma = Substitution()
-    work = list(pairs)
+    work = [(canonical(s, fuel), canonical(t, fuel)) for s, t in pairs]
+    sigma: dict = {}
+    bound: dict[int, Free] = {}  # the variables of sigma's domain
     steps = 0
     try:
         while work:
@@ -162,14 +133,10 @@ def unify_patterns(pairs, supply: FreshSupply, fuel: Fuel | None = None) -> Subs
             if steps > 100_000:
                 raise InternalError("pattern unification did not converge")
             s, t = work.pop()
-            s = canonical(sigma.apply(s), fuel)
-            t = canonical(sigma.apply(t), fuel)
             if s == t:
                 continue
-            tys, sbody = strip_lams(s)
-            _, tbody = strip_lams(t)
-            hs, sargs = spine(sbody)
-            ht, targs = spine(tbody)
+            tys, hs, sargs = view(s)
+            _, ht, targs = view(t)
             sflex, tflex = isinstance(hs, Free), isinstance(ht, Free)
             if not sflex and not tflex:
                 if hs != ht or len(sargs) != len(targs):
@@ -177,25 +144,26 @@ def unify_patterns(pairs, supply: FreshSupply, fuel: Fuel | None = None) -> Subs
                 work.extend(
                     (mk_lams(tys, a), mk_lams(tys, b)) for a, b in zip(sargs, targs)
                 )
-            elif sflex and tflex and hs.id == ht.id:
+                continue
+            if sflex and tflex and hs.id == ht.id:
                 rho = same_head_mgu(hs, _flex_args(sargs), _flex_args(targs), supply, fuel)
-                sigma = compose(rho, sigma, fuel)
+                bound[hs.id] = hs
             elif sflex and tflex:
                 rho = _flex_diff(hs, _flex_args(sargs), ht, _flex_args(targs), supply, fuel)
-                sigma = compose(rho, sigma, fuel)
+                bound[hs.id], bound[ht.id] = hs, ht
             else:
                 if not sflex:
-                    hs, sargs, tbody = ht, targs, sbody
+                    hs, sargs = ht, targs
                 inv = {u: j for j, u in enumerate(_flex_args(sargs))}
-                try:
-                    rho = _bind(hs, _invert(hs, inv, tbody, supply, fuel), fuel)
-                except _Prune as p:
-                    rho = p.rho
+                var, rho = _invert(hs, inv, strip_lams(t if sflex else s)[1], supply, fuel)
+                bound[var.id] = var
+                if var is not hs:  # a pruning: the pair comes back
                     work.append((s, t))
-                sigma = compose(rho, sigma, fuel)
+            work = [(hereditary(a, rho, fuel)[0], hereditary(b, rho, fuel)[0]) for a, b in work]
+            sigma = _then(sigma, rho, fuel)
     except _Clash:
         return None
-    return sigma
+    return Substitution(((bound[i], v[0]) for i, v in sigma.items()), validate=False)
 
 
 def pattern_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):

@@ -3,12 +3,9 @@ whose free variables take only bound variables or variable-free base-type
 terms as arguments, provided the sides share no variables and one side is
 linear, or their one variable is the head of both (whose MGU it returns).
 
-Every constraint side PT handles, and every image it builds, is closed
-and eta-long beta-normal, as the sides `engine.consult` hands over are.
-Hereditary substitution keeps that form, so a branch applies its binding
-to each remaining constraint by one `normalize.hereditary` pass, which
-returns a side the binding does not touch as the same object.  Only an
-image or matcher side built over functional types is eta-expanded.
+PT keeps its constraints and substitutions in the oracles' one format
+(see the package docstring); only an image or matcher side built over
+functional types is eta-expanded.
 
 The computation follows a three-stage plan:
 
@@ -60,8 +57,16 @@ from ..terms import (
     type_of,
     view,
 )
-from . import NotApplicable, NotUnifiable, Success, binders_in_order, eta_bound_index
-from .pattern import same_head_mgu
+from . import (
+    NotApplicable,
+    NotUnifiable,
+    Success,
+    _bound,
+    _then,
+    binders_in_order,
+    eta_bound_index,
+    same_head_mgu,
+)
 
 _CAP = 1_000_000
 
@@ -105,10 +110,7 @@ def is_linear(t: Term) -> bool:
 # ------------------------------------------------------------------ PT
 
 # A constraint is (lhs, rhs, tagged); `tagged` marks descendants of
-# base-type projections, which admissible selection must prefer.  A
-# substitution is a dict from variable ids to `normalize.hereditary`
-# values; an image built here enters unmeasured, as (image, 0, 0, 0),
-# since only the terms of the pass's results are read.
+# base-type projections, which admissible selection must prefer.
 #
 # No variable of one side of a pair occurs in the other: PT starts from
 # sides that share none, one of them linear (a matching problem's ground
@@ -140,24 +142,6 @@ class _PT:
         """t with rho substituted: one hereditary pass."""
         return hereditary(t, rho, self.fuel)[0] if rho else t
 
-    @staticmethod
-    def _values(entries) -> dict:
-        """The substitution of (variable, eta-long beta-normal image) entries."""
-        return {var.id: (image, 0, 0, 0) for var, image in entries}
-
-    def _bound(self, entries, *tys) -> dict:
-        """The substitution of (variable, image) entries, each image built
-        over binders and helper results of the argument types of `tys`:
-        eta-long as built when those are all base types, and eta-expanded
-        otherwise."""
-        if all(ty.bases == ty.arity + 1 for ty in tys):
-            return self._values(entries)
-        return self._values((var, canonical(image, self.fuel)) for var, image in entries)
-
-    def _then(self, sigma: dict, rho: dict) -> dict:
-        """The substitution applying sigma, then rho."""
-        return {**rho, **{i: hereditary(v[0], rho, self.fuel) for i, v in sigma.items()}}
-
     def enumerate(self, constraints) -> Iterator[tuple[dict, list]]:
         """Depth-first enumeration of (preunifier, flex-flex residue)."""
         stack = [(list(constraints), {})]
@@ -174,7 +158,7 @@ class _PT:
             for rho, children in reversed(self._branches(*E[picked])):
                 self._tick()
                 applied = [(self._apply(a, rho), self._apply(b, rho), tg) for a, b, tg in rest]
-                stack.append((applied + children, self._then(sigma, rho)))
+                stack.append((applied + children, _then(sigma, rho, self.fuel)))
 
     def _closure(self, E):
         """Apply Deletion, Failure and Decomposition exhaustively, in the
@@ -219,14 +203,14 @@ class _PT:
         out = []
         _, head, targs = view(t)
         if type(head) is Const:
-            rho = self._bound(imitation(F, head, self.supply).entries, F.ty, head.ty)
+            rho = _bound(imitation(F, head, self.supply).entries, self.fuel, F.ty, head.ty)
             gs = view(self._apply(s, rho))[2] if targs else ()
             out.append((rho, [(mk_lams(tys, g), mk_lams(tys, ti), tag) for g, ti in zip(gs, targs)]))
         for i, u in enumerate(sargs):
             b = huet_projection(F, i + 1, self.supply)
             if b is None:  # u does not return F's result type
                 continue
-            rho = self._bound(b.entries, F.ty)
+            rho = _bound(b.entries, self.fuel, F.ty)
             if type_of(u).arity:
                 out.append((rho, [(self._apply(s, rho), t, tag)]))
             else:  # F's image projects s onto u itself
@@ -255,10 +239,10 @@ class _PT:
             if not (isinstance(F, Free) and isinstance(G, Free)):
                 raise InternalError("non flex-flex constraint in residue")
             if F.id == G.id:
-                rho = self._values(same_head_mgu(F, us, vs, self.supply, self.fuel).items())
+                rho = same_head_mgu(F, us, vs, self.supply, self.fuel)
             else:
                 rho = self._diff_head_mgu(tys, F, us, G, vs)
-            sigma = self._then(sigma, rho)
+            sigma = _then(sigma, rho, self.fuel)
         return sigma
 
     def _diff_head_mgu(self, tys, F: Free, us, G: Free, vs) -> dict:
@@ -300,8 +284,9 @@ class _PT:
         g_args = [b for bodies in s_bodies for b in bodies] + [
             Bound(n - 1 - i, g_tys[i]) for i in range(n) for _ in t_bodies[i]
         ]
-        return self._bound(
+        return _bound(
             ((F, mk_lams(f_tys, mk_app(Z, f_args))), (G, mk_lams(g_tys, mk_app(Z, g_args)))),
+            self.fuel,
             F.ty,
             G.ty,
         )
@@ -323,13 +308,13 @@ def solid_oracle(s: Term, t: Term, supply: FreshSupply, fuel: Fuel):
                 and fvs.keys() == fvt.keys() == {hs[0].id}
             ):
                 rho = same_head_mgu(hs[0], hs[1], ht[1], supply, fuel)
-                return Success((_checked(pt._values(rho.items()), s, t, problem, fuel),))
+                return Success((_checked(rho, s, t, problem, fuel),))
             return NotApplicable()
         if not (is_linear(s) or is_linear(t)):
             return NotApplicable()
         csu = []
         for sigma, residue in pt.enumerate([(s, t, False)]):
-            full = pt._then(sigma, pt.discharge(residue))
+            full = _then(sigma, pt.discharge(residue), fuel)
             csu.append(_checked(full, s, t, problem, fuel))
         return Success(tuple(csu)) if csu else NotUnifiable()
     except _GiveUp:
